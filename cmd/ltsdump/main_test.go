@@ -83,8 +83,8 @@ func TestRunCompileArtifact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ents) != 1 || !strings.HasSuffix(ents[0].Name(), ".dfa.json.gz") {
-		t.Fatalf("expected one .dfa.json.gz artifact, got %v", ents)
+	if len(ents) != 1 || !strings.HasSuffix(ents[0].Name(), ".dfa.bin") {
+		t.Fatalf("expected one .dfa.bin artifact, got %v", ents)
 	}
 }
 

@@ -1,5 +1,5 @@
 // Package automaton compiles a purpose's configuration-set semantics
-// (Definition 6) ahead of time into a dense table-driven DFA.
+// (Definition 6) ahead of time into a minimized table-driven DFA.
 //
 // Algorithm 1 interprets the COWS LTS online: every replayed entry
 // expands configuration sets through WeakNext, so first-touch latency
@@ -39,7 +39,8 @@
 // # States
 //
 // DFA states are interned configuration-set IDs produced by subset
-// construction over (COWS state, active-task set) pairs. Each state
+// construction over (COWS state, active-task set) pairs, then merged
+// and column-compacted by minimization (minimize.go). Each state
 // carries the verdict metadata replay needs — member configurations
 // (for snapshots), the completion bit, and the precomputed violation
 // diagnostics (expected labels, active tasks) — so the hot path never
@@ -53,9 +54,6 @@ import (
 	"strings"
 	"sync"
 )
-
-// FormatVersion is the artifact schema version (see internal/encode).
-const FormatVersion = 1
 
 // CompilerVersion participates in the content address: artifacts
 // compiled by a different compiler never collide with ours.
@@ -102,8 +100,8 @@ type Offer struct {
 // active-set table). Snapshots taken under the DFA are materialized
 // from these tables, so a checkpoint resumes under either engine.
 type Config struct {
-	Term   int32 `json:"term"`
-	Active int32 `json:"active"`
+	Term   int32
+	Active int32
 }
 
 // State is one determinized configuration set with its precomputed
@@ -111,20 +109,20 @@ type Config struct {
 type State struct {
 	// Members lists the member configurations (indices into Configs),
 	// sorted ascending.
-	Members []int32 `json:"members"`
+	Members []int32
 	// CanComplete is the end-of-trail acceptance bit: some member can
 	// silently reach quiescence.
-	CanComplete bool `json:"can_complete,omitempty"`
+	CanComplete bool
 	// Expected lists the observable labels the members offer, rendered
 	// exactly as the interpreter's violation diagnostics render them.
-	Expected []string `json:"expected,omitempty"`
+	Expected []string
 	// ActiveTasks lists the members' active tasks in display form,
 	// sorted (violation diagnostics).
-	ActiveTasks []string `json:"active_tasks,omitempty"`
+	ActiveTasks []string
 	// Active lists the distinct active (role, task) pairs (worklists).
-	Active []Offer `json:"active,omitempty"`
+	Active []Offer
 	// Fire lists the distinct startable tasks (worklists).
-	Fire []Offer `json:"fire,omitempty"`
+	Fire []Offer
 }
 
 // DFA is the compiled automaton. All exported fields are serialized by
@@ -135,32 +133,32 @@ type DFA struct {
 	// Compiler and Fingerprint identify the artifact: Fingerprint is
 	// the content address (hash of the canonical COWS term, the
 	// compiler version and every semantic knob — see Fingerprint).
-	Compiler    string `json:"compiler"`
-	Fingerprint string `json:"fingerprint"`
+	Compiler    string
+	Fingerprint string
 	// Purpose names the purpose the automaton replays.
-	Purpose string `json:"purpose"`
+	Purpose string
 
 	// Strict / NoAbsorption record the checker flags baked into the
 	// table; a checker with different flags must not use it.
-	Strict       bool `json:"strict"`
-	NoAbsorption bool `json:"no_absorption,omitempty"`
+	Strict       bool
+	NoAbsorption bool
 	// MaxConfigurations is the configuration-set cap the compile
 	// honored; no reachable state exceeds it.
-	MaxConfigurations int `json:"max_configurations"`
+	MaxConfigurations int
 
 	// Tasks is the task axis of the alphabet (sorted); TaskRoles is the
 	// parallel pool-role list.
-	Tasks     []string `json:"tasks"`
-	TaskRoles []string `json:"task_roles"`
+	Tasks     []string
+	TaskRoles []string
 	// PoolRoles are the distinct pool roles; role-class masks index
 	// into this list bit by bit.
-	PoolRoles []string `json:"pool_roles"`
+	PoolRoles []string
 	// Classes are the distinct role-class masks; RoleClass maps every
 	// pool and hierarchy role to its class. Unlisted roles fall into
 	// ZeroClass (they match no pool role).
-	Classes   []uint64         `json:"classes"`
-	RoleClass map[string]int32 `json:"role_class"`
-	ZeroClass int32            `json:"zero_class"`
+	Classes   []uint64
+	RoleClass map[string]int32
+	ZeroClass int32
 
 	// Terms is the deduplicated table of canonical COWS terms (the
 	// alpha-invariant Canon form used as the ConfigID lookup key);
@@ -168,35 +166,27 @@ type DFA struct {
 	// engine-neutral snapshot export. ActiveSets is the deduplicated
 	// active-task sets; Configs the (term, active) member
 	// configurations.
-	Terms      []string       `json:"terms"`
-	Texts      []string       `json:"texts"`
-	ActiveSets [][]ActiveTask `json:"active_sets"`
-	Configs    []Config       `json:"configs"`
+	Terms      []string
+	Texts      []string
+	ActiveSets [][]ActiveTask
+	Configs    []Config
 
-	// States are the determinized configuration sets; Start is the
-	// initial state; Delta is the dense transition table, row-major
-	// (state*width + column), with Reject marking deviations. The row
-	// width is the full symbol count, unless the automaton is
-	// minimized, in which case it is Columns.
-	States []State `json:"states"`
-	Start  int32   `json:"start"`
-	Delta  []int32 `json:"delta"`
+	// States are the minimized configuration sets (see minimize.go);
+	// Start is the initial state; Delta is the transition table,
+	// row-major (state*Columns + column), with Reject marking
+	// deviations.
+	States []State
+	Start  int32
+	Delta  []int32
 
-	// Minimized records that language-equivalent states were merged
-	// and the alphabet compacted at compile time (see minimize.go).
-	Minimized bool `json:"minimized,omitempty"`
-	// SymMap, set iff Minimized, maps each raw symbol (the SymbolFor
-	// classification space) to its compacted delta column; -1 marks
-	// symbols that reject in every state.
-	SymMap []int32 `json:"sym_map,omitempty"`
-	// Columns is the compacted delta row width (set iff Minimized).
-	Columns int32 `json:"columns,omitempty"`
+	// SymMap maps each raw symbol (the SymbolFor classification space)
+	// to its compacted delta column; -1 marks symbols that reject in
+	// every state. Columns is the compacted delta row width.
+	SymMap  []int32
+	Columns int32
 
 	taskIndex  map[string]int32
 	numSymbols int32
-	// width is the delta row width: Columns when minimized, else
-	// numSymbols.
-	width int32
 
 	lookupOnce sync.Once
 	configIdx  map[string]int32 // term\x00activeKey -> config id
@@ -230,27 +220,20 @@ func (d *DFA) Finish() error {
 	for i, t := range d.Tasks {
 		d.taskIndex[t] = int32(i)
 	}
-	d.width = d.numSymbols
-	if d.Minimized != (d.SymMap != nil) || d.Minimized != (d.Columns > 0) {
-		return fmt.Errorf("automaton: inconsistent minimization fields (minimized=%v, %d sym map entries, %d columns)",
-			d.Minimized, len(d.SymMap), d.Columns)
+	if len(d.SymMap) != int(d.numSymbols) || d.Columns <= 0 {
+		return fmt.Errorf("automaton: table is not minimized (%d sym map entries for %d symbols, %d columns)",
+			len(d.SymMap), d.numSymbols, d.Columns)
 	}
-	if d.Minimized {
-		if len(d.SymMap) != int(d.numSymbols) {
-			return fmt.Errorf("automaton: sym map has %d entries, want %d symbols", len(d.SymMap), d.numSymbols)
-		}
-		if d.Columns > d.numSymbols {
-			return fmt.Errorf("automaton: %d columns exceed %d symbols", d.Columns, d.numSymbols)
-		}
-		for i, m := range d.SymMap {
-			if m < -1 || m >= d.Columns {
-				return fmt.Errorf("automaton: sym map[%d]=%d out of range", i, m)
-			}
-		}
-		d.width = d.Columns
+	if d.Columns > d.numSymbols {
+		return fmt.Errorf("automaton: %d columns exceed %d symbols", d.Columns, d.numSymbols)
 	}
-	if len(d.Delta) != len(d.States)*int(d.width) {
-		return fmt.Errorf("automaton: delta has %d entries, want %d states × %d symbols", len(d.Delta), len(d.States), d.width)
+	for i, m := range d.SymMap {
+		if m < -1 || m >= d.Columns {
+			return fmt.Errorf("automaton: sym map[%d]=%d out of range", i, m)
+		}
+	}
+	if len(d.Delta) != len(d.States)*int(d.Columns) {
+		return fmt.Errorf("automaton: delta has %d entries, want %d states × %d columns", len(d.Delta), len(d.States), d.Columns)
 	}
 	if d.Start < 0 || int(d.Start) >= len(d.States) {
 		return fmt.Errorf("automaton: start state %d out of range", d.Start)
@@ -300,10 +283,10 @@ func (d *DFA) ClassOf(role string) int32 {
 	return d.ZeroClass
 }
 
-// SymbolFor classifies one audit entry. ok=false means the entry has no
-// symbol at all — its task is outside the alphabet, or (minimized
-// automata) the symbol rejects in every state — and therefore maps to
-// the reject verdict directly.
+// SymbolFor classifies one audit entry into its delta column. ok=false
+// means the entry has no column at all — its task is outside the
+// alphabet, or its symbol rejects in every state — and therefore maps
+// to the reject verdict directly.
 func (d *DFA) SymbolFor(task, role string, failure bool) (sym int32, ok bool) {
 	if failure {
 		if !d.Strict {
@@ -325,9 +308,6 @@ func (d *DFA) SymbolFor(task, role string, failure bool) (sym int32, ok bool) {
 // mapSym folds the alphabet compaction into symbol classification, so
 // Step stays a single unconditional array lookup.
 func (d *DFA) mapSym(sym int32) (int32, bool) {
-	if d.SymMap == nil {
-		return sym, true
-	}
 	if m := d.SymMap[sym]; m >= 0 {
 		return m, true
 	}
@@ -337,7 +317,7 @@ func (d *DFA) mapSym(sym int32) (int32, bool) {
 // Step performs one replay step: the single array lookup. state must be
 // a valid state id and sym a valid symbol (from SymbolFor).
 func (d *DFA) Step(state, sym int32) int32 {
-	return d.Delta[state*d.width+sym]
+	return d.Delta[state*d.Columns+sym]
 }
 
 // MemberConfig materializes one member configuration of a state: the
@@ -409,10 +389,8 @@ type Stats struct {
 	Classes    int
 	DeltaBytes int
 	Start      int32
-	// Minimized/Columns report the minimization pass: Columns is the
-	// compacted delta width (0 when not minimized).
-	Minimized bool
-	Columns   int
+	// Columns is the compacted delta width (see minimize.go).
+	Columns int
 }
 
 // Stats reports table sizes.
@@ -427,19 +405,14 @@ func (d *DFA) Stats() Stats {
 		Classes:    len(d.Classes),
 		DeltaBytes: 4 * len(d.Delta),
 		Start:      d.Start,
-		Minimized:  d.Minimized,
 		Columns:    int(d.Columns),
 	}
 }
 
 // String renders a one-line summary.
 func (s Stats) String() string {
-	out := fmt.Sprintf("automaton %s: %d states × %d symbols (%d configs over %d terms, %d role classes over %d pools, delta %d bytes)",
-		s.Purpose, s.States, s.Symbols, s.Configs, s.Terms, s.Classes, s.PoolRoles, s.DeltaBytes)
-	if s.Minimized {
-		out += fmt.Sprintf(", minimized to %d columns", s.Columns)
-	}
-	return out
+	return fmt.Sprintf("automaton %s: %d states × %d symbols (%d configs over %d terms, %d role classes over %d pools, delta %d bytes), minimized to %d columns",
+		s.Purpose, s.States, s.Symbols, s.Configs, s.Terms, s.Classes, s.PoolRoles, s.DeltaBytes, s.Columns)
 }
 
 func sortOffers(offers []Offer) {

@@ -48,11 +48,6 @@ type CompileInput struct {
 	// MaxStates bounds subset construction (0 = DefaultMaxStates).
 	MaxStates int
 
-	// Minimize runs Hopcroft minimization and alphabet compaction
-	// after subset construction (see minimize.go). It changes the
-	// fingerprint: minimized and dense artifacts never alias.
-	Minimize bool
-
 	// System, when non-nil, is the warm shared LTS to compile against
 	// (its observability must be the purpose's own).
 	System *lts.System
@@ -79,12 +74,7 @@ func Fingerprint(in CompileInput) string {
 	write(CompilerVersion, in.Purpose, cows.Canon(in.Initial))
 	write(fmt.Sprintf("strict=%v", in.StrictFailureTask),
 		fmt.Sprintf("absorb=%v", !in.DisableAbsorption),
-		fmt.Sprintf("maxconf=%d", maxConfigs))
-	if in.Minimize {
-		// Only minimized artifacts take the extra component, so every
-		// fingerprint ever produced without the flag is unchanged.
-		write("minimize=hopcroft/1")
-	}
+		fmt.Sprintf("maxconf=%d", maxConfigs), "minimize=hopcroft/1")
 	tasks := append([]TaskSpec(nil), in.Tasks...)
 	sort.Slice(tasks, func(i, j int) bool { return tasks[i].Name < tasks[j].Name })
 	for _, t := range tasks {
@@ -202,12 +192,27 @@ type compiler struct {
 }
 
 // Compile runs subset construction over the purpose's configuration
-// sets and returns the table-driven DFA. Failures to determinize — a
-// non-finitely-observable process, an exploration budget, a
-// configuration-set overflow, a state-count overflow — are returned
-// wrapped in ErrNotCompilable; the caller falls back to the interpreter
-// and records the cause.
+// sets, minimizes the result and returns the table-driven DFA. Failures
+// to determinize — a non-finitely-observable process, an exploration
+// budget, a configuration-set overflow, a state-count overflow — are
+// returned wrapped in ErrNotCompilable; the caller falls back to the
+// interpreter and records the cause.
 func Compile(in CompileInput) (*DFA, error) {
+	d, err := construct(in)
+	if err != nil {
+		return nil, err
+	}
+	d.minimize()
+	d.Fingerprint = Fingerprint(in)
+	if err := d.Finish(); err != nil {
+		return nil, err
+	}
+	return d, nil
+}
+
+// construct runs subset construction alone: the returned tables are
+// complete but not yet minimized, fingerprinted or Finished.
+func construct(in CompileInput) (*DFA, error) {
 	c := &compiler{in: in, maxConfigs: in.MaxConfigurations, maxStates: in.MaxStates}
 	if c.maxConfigs <= 0 {
 		c.maxConfigs = DefaultMaxConfigurations
@@ -226,18 +231,7 @@ func Compile(in CompileInput) (*DFA, error) {
 	if err := c.buildAlphabet(); err != nil {
 		return nil, err
 	}
-	d, err := c.construct()
-	if err != nil {
-		return nil, err
-	}
-	if in.Minimize {
-		d.minimize()
-	}
-	d.Fingerprint = Fingerprint(in)
-	if err := d.Finish(); err != nil {
-		return nil, err
-	}
-	return d, nil
+	return c.construct()
 }
 
 func (c *compiler) buildAlphabet() error {

@@ -84,15 +84,15 @@ func TestCoverageSetPerDFA(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dense := compileProcess(t, p, nil)
-	min := compileProcess(t, p, func(in *automaton.CompileInput) { in.Minimize = true })
+	lenient := compileProcess(t, p, nil)
+	strict := compileProcess(t, p, func(in *automaton.CompileInput) { in.StrictFailureTask = true })
 
 	set := automaton.NewCoverageSet()
-	if set.For(dense) != set.For(dense) {
+	if set.For(strict) != set.For(strict) {
 		t.Fatal("For not stable for the same DFA")
 	}
-	set.For(dense).VisitState(dense.Start)
-	set.For(min).VisitState(min.Start)
+	set.For(strict).VisitState(strict.Start)
+	set.For(lenient).VisitState(lenient.Start)
 
 	reports := set.Reports()
 	if len(reports) != 2 {
@@ -103,7 +103,7 @@ func TestCoverageSetPerDFA(t *testing.T) {
 			t.Fatalf("start-only coverage shows %d states: %+v", r.States, r)
 		}
 	}
-	if !reports[0].Minimized && !reports[1].Minimized {
-		t.Fatal("minimized automaton not flagged in any report")
+	if reports[0].Fingerprint == reports[1].Fingerprint {
+		t.Fatal("the two automata share a fingerprint")
 	}
 }

@@ -6,12 +6,12 @@ import (
 	"sort"
 )
 
-// DFA minimization (CompileInput.Minimize). Subset construction interns
-// states by member-configuration identity, so distinct configuration
-// sets with identical futures become distinct states — and the dense
-// delta carries one column per task×role-class symbol even when most
-// columns reject everywhere or duplicate each other. Minimization runs
-// two passes over the finished tables:
+// DFA minimization, the last step of every Compile. Subset construction
+// interns states by member-configuration identity, so distinct
+// configuration sets with identical futures become distinct states —
+// and the constructed delta carries one column per task×role-class
+// symbol even when most columns reject everywhere or duplicate each
+// other. Minimization runs two passes over the constructed tables:
 //
 //  1. Hopcroft partition refinement merges states that are equivalent
 //     under every observable: the replay language (via a virtual dead
@@ -19,11 +19,12 @@ import (
 //     (StepStats reports it), and the verdict/worklist metadata
 //     (violation reports render it). Each class keeps its
 //     smallest-id state as representative, metadata verbatim, so every
-//     report stays byte-identical to the dense automaton's.
+//     report stays byte-identical to the constructed automaton's.
 //  2. Alphabet compaction deduplicates delta columns: symbols with
 //     identical columns share one, and all-Reject columns vanish into
 //     SymMap entries of -1 (SymbolFor answers ok=false, the same
-//     verdict the dense lookup would reach one array access later).
+//     verdict the full-width lookup would reach one array access
+//     later).
 //
 // Merged states are invisible to replay but not to snapshots: a
 // checkpoint taken in a merged state exports the representative's
@@ -142,7 +143,6 @@ func (d *DFA) minimize() {
 	d.States = states
 	d.Start = newID[classOf[d.Start]]
 	d.Delta = delta
-	d.Minimized = true
 	d.SymMap = symMap
 	d.Columns = cols
 }

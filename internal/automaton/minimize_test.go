@@ -1,7 +1,6 @@
 package automaton_test
 
 import (
-	"math/rand"
 	"reflect"
 	"testing"
 
@@ -10,60 +9,10 @@ import (
 	"repro/internal/hospital"
 )
 
-// minimizedPair compiles the same input dense and minimized.
-func minimizedPair(t *testing.T, p *bpmn.Process, mut func(*automaton.CompileInput)) (dense, min *automaton.DFA) {
-	t.Helper()
-	dense = compileProcess(t, p, mut)
-	min = compileProcess(t, p, func(in *automaton.CompileInput) {
-		if mut != nil {
-			mut(in)
-		}
-		in.Minimize = true
-	})
-	return dense, min
-}
-
-// walkCompare drives both automata through the same random entry
-// stream (valid and garbage tasks/roles, failures) and demands the
-// same reject decisions and identical observable state metadata at
-// every live step.
-func walkCompare(t *testing.T, dense, min *automaton.DFA, seed int64, steps int) {
-	t.Helper()
-	rng := rand.New(rand.NewSource(seed))
-	tasks := append(append([]string{}, dense.Tasks...), "Zed", "")
-	roles := append(append([]string{}, dense.PoolRoles...), "Janitor", "")
-	ds, ms := dense.Start, min.Start
-	for i := 0; i < steps; i++ {
-		task := tasks[rng.Intn(len(tasks))]
-		role := roles[rng.Intn(len(roles))]
-		fail := rng.Intn(6) == 0
-		dnext, mnext := automaton.Reject, automaton.Reject
-		if sym, ok := dense.SymbolFor(task, role, fail); ok {
-			dnext = dense.Step(ds, sym)
-		}
-		if sym, ok := min.SymbolFor(task, role, fail); ok {
-			mnext = min.Step(ms, sym)
-		}
-		if (dnext == automaton.Reject) != (mnext == automaton.Reject) {
-			t.Fatalf("step %d (%s/%s fail=%v): dense -> %d, minimized -> %d",
-				i, task, role, fail, dnext, mnext)
-		}
-		if dnext == automaton.Reject {
-			ds, ms = dense.Start, min.Start
-			continue
-		}
-		a, b := &dense.States[dnext], &min.States[mnext]
-		if a.CanComplete != b.CanComplete || len(a.Members) != len(b.Members) ||
-			!reflect.DeepEqual(a.Expected, b.Expected) ||
-			!reflect.DeepEqual(a.ActiveTasks, b.ActiveTasks) ||
-			!reflect.DeepEqual(a.Active, b.Active) ||
-			!reflect.DeepEqual(a.Fire, b.Fire) {
-			t.Fatalf("step %d: observable metadata diverges:\ndense:     %+v\nminimized: %+v", i, a, b)
-		}
-		ds, ms = dnext, mnext
-	}
-}
-
+// TestMinimizeEquivalence runs the product-construction proof
+// (automaton.MinimizeProduct) on both hospital purposes and on the
+// checker-flag variants that change the alphabet or the absorption
+// rule.
 func TestMinimizeEquivalence(t *testing.T) {
 	treatment, err := hospital.Treatment()
 	if err != nil {
@@ -84,22 +33,19 @@ func TestMinimizeEquivalence(t *testing.T) {
 		{"treatment-no-absorption", treatment, func(in *automaton.CompileInput) { in.DisableAbsorption = true }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			dense, min := minimizedPair(t, tc.p, tc.mut)
-			if !min.Minimized || min.Columns <= 0 || len(min.SymMap) != dense.NumSymbols() {
-				t.Fatalf("minimization fields: minimized=%v columns=%d symmap=%d (symbols %d)",
-					min.Minimized, min.Columns, len(min.SymMap), dense.NumSymbols())
+			sum, err := automaton.MinimizeProduct(compileInput(t, tc.p, tc.mut))
+			if err != nil {
+				t.Fatal(err)
 			}
-			if min.NumStates() > dense.NumStates() {
-				t.Fatalf("minimized has %d states, dense %d", min.NumStates(), dense.NumStates())
+			if sum.RawCoverage != sum.RawStates {
+				t.Fatalf("product walk reached %d of %d constructed states", sum.RawCoverage, sum.RawStates)
 			}
-			if int(min.Columns) >= dense.NumSymbols() {
-				t.Fatalf("alphabet compaction did nothing: %d columns for %d symbols",
-					min.Columns, dense.NumSymbols())
+			if sum.MinStates > sum.RawStates {
+				t.Fatalf("minimized has %d states, constructed %d", sum.MinStates, sum.RawStates)
 			}
-			if min.Fingerprint == dense.Fingerprint {
-				t.Fatal("minimized and dense artifacts share a fingerprint")
+			if sum.MinColumns <= 0 || sum.MinColumns >= sum.RawSymbols {
+				t.Fatalf("alphabet compaction: %d columns for %d symbols", sum.MinColumns, sum.RawSymbols)
 			}
-			walkCompare(t, dense, min, 7, 4000)
 		})
 	}
 }
@@ -111,9 +57,8 @@ func TestMinimizeDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mut := func(in *automaton.CompileInput) { in.Minimize = true }
-	a := compileProcess(t, p, mut)
-	b := compileProcess(t, p, mut)
+	a := compileProcess(t, p, nil)
+	b := compileProcess(t, p, nil)
 	if a.Fingerprint != b.Fingerprint || a.Start != b.Start || a.Columns != b.Columns {
 		t.Fatalf("headers differ: %v/%v %d/%d %d/%d", a.Fingerprint, b.Fingerprint, a.Start, b.Start, a.Columns, b.Columns)
 	}
@@ -131,7 +76,7 @@ func TestMinimizeSnapshotLookups(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	min := compileProcess(t, p, func(in *automaton.CompileInput) { in.Minimize = true })
+	min := compileProcess(t, p, nil)
 	for i := range min.States {
 		id, ok := min.StateOf(min.States[i].Members)
 		if !ok || id != int32(i) {

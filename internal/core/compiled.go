@@ -3,8 +3,8 @@ package core
 // Compiled fast path (DESIGN.md §11). For well-founded processes the
 // observable-trace semantics of Definition 6 is a regular language over
 // task/error labels, so Algorithm 1's configuration-set machine can be
-// determinized once, ahead of time (internal/automaton), and replay
-// becomes one dense-table lookup per entry. The checker compiles each
+// determinized and minimized once, ahead of time (internal/automaton),
+// and replay becomes one table lookup per entry. The checker compiles each
 // purpose lazily on first use (or accepts a preloaded artifact via
 // SetCompiled) and falls back to the interpreter — recording the cause
 // — whenever the automaton is absent: the purpose is not compilable
@@ -36,7 +36,6 @@ type compiledResult struct {
 	strict       bool
 	noAbsorption bool
 	maxConfigs   int
-	minimize     bool
 }
 
 func (c *Checker) effectiveMaxConfigurations() int {
@@ -59,7 +58,6 @@ func (c *Checker) automatonInput(pur *Purpose, rt *purposeRT) automaton.CompileI
 		MaxConfigurations: c.MaxConfigurations,
 		MaxSilentDepth:    c.MaxSilentDepth,
 		MaxStates:         c.MaxAutomatonStates,
-		Minimize:          c.MinimizeAutomata,
 		System:            rt.sys,
 	}
 	for _, task := range pur.Process.Tasks() {
@@ -132,7 +130,6 @@ func (c *Checker) SetCompiled(purpose string, d *automaton.DFA) error {
 		strict:       c.StrictFailureTask,
 		noAbsorption: c.DisableAbsorption,
 		maxConfigs:   c.effectiveMaxConfigurations(),
-		minimize:     c.MinimizeAutomata,
 	})
 	return nil
 }
@@ -159,8 +156,7 @@ func (c *Checker) CompiledStatus(purpose string) (automaton.Stats, error) {
 func (c *Checker) flagsMatch(r *compiledResult) bool {
 	return r.strict == c.StrictFailureTask &&
 		r.noAbsorption == c.DisableAbsorption &&
-		r.maxConfigs == c.effectiveMaxConfigurations() &&
-		r.minimize == c.MinimizeAutomata
+		r.maxConfigs == c.effectiveMaxConfigurations()
 }
 
 // compileLocked compiles and records the result; rt.compiledMu held.
@@ -172,7 +168,6 @@ func (c *Checker) compileLocked(pur *Purpose, rt *purposeRT) (*automaton.DFA, er
 		strict:       c.StrictFailureTask,
 		noAbsorption: c.DisableAbsorption,
 		maxConfigs:   c.effectiveMaxConfigurations(),
-		minimize:     c.MinimizeAutomata,
 	}
 	rt.compiled.Store(r)
 	return d, err

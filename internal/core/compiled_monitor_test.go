@@ -6,7 +6,6 @@ package core_test
 // §11: snapshots are engine-neutral).
 
 import (
-	"bytes"
 	"reflect"
 	"sort"
 	"testing"
@@ -111,6 +110,17 @@ func TestCompiledMonitorEquivalence(t *testing.T) {
 	}
 }
 
+// resumeOn moves m's live state into a fresh monitor over c, the way a
+// checkpoint restore does.
+func resumeOn(t *testing.T, m *core.Monitor, c *core.Checker) *core.Monitor {
+	t.Helper()
+	m2 := core.NewMonitor(c)
+	if err := m2.LoadState(m.State()); err != nil {
+		t.Fatal(err)
+	}
+	return m2
+}
+
 // TestCompiledSnapshotCrossEngineResume checkpoints a monitor mid-trail
 // under one engine and resumes it under the other, in both directions;
 // the verdicts and final statuses must match an uninterrupted run.
@@ -127,14 +137,7 @@ func TestCompiledSnapshotCrossEngineResume(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		var buf bytes.Buffer
-		if err := m1.Snapshot(&buf); err != nil {
-			t.Fatal(err)
-		}
-		m2, err := core.RestoreMonitor(second, &buf)
-		if err != nil {
-			t.Fatal(err)
-		}
+		m2 := resumeOn(t, m1, second)
 		for _, e := range entries[half:] {
 			if _, err := m2.Feed(e); err != nil {
 				t.Fatal(err)
@@ -189,14 +192,7 @@ func TestCompiledSnapshotDeadCases(t *testing.T) {
 	if lastV.OK || lastV.Violation == nil {
 		t.Fatalf("expected violation, got %+v", lastV)
 	}
-	var buf bytes.Buffer
-	if err := mc.Snapshot(&buf); err != nil {
-		t.Fatal(err)
-	}
-	m2, err := core.RestoreMonitor(p.interp.Clone(), &buf)
-	if err != nil {
-		t.Fatal(err)
-	}
+	m2 := resumeOn(t, mc, p.interp.Clone())
 	v, err := m2.Feed(diffEntry(9, "Underwriter", "L05", "LA-66"))
 	if err != nil {
 		t.Fatal(err)

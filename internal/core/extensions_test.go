@@ -1,7 +1,7 @@
 package core
 
 import (
-	"strings"
+	"encoding/json"
 	"testing"
 	"time"
 
@@ -226,12 +226,12 @@ func TestMonitorSnapshotRestore(t *testing.T) {
 	if v, err := m1.Feed(bad[0]); err != nil || v.OK {
 		t.Fatalf("bad case should deviate: %+v %v", v, err)
 	}
-	var buf strings.Builder
-	if err := m1.Snapshot(&buf); err != nil {
+	raw, err := json.Marshal(m1.State())
+	if err != nil {
 		t.Fatal(err)
 	}
 
-	m2, err := RestoreMonitor(mkChecker(), strings.NewReader(buf.String()))
+	m2, err := restoreJSON(mkChecker(), raw)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,19 +269,27 @@ func TestMonitorSnapshotRestore(t *testing.T) {
 	}
 }
 
-// TestRestoreMonitorErrors covers the failure paths.
+// TestRestoreMonitorErrors covers the failure paths of LoadState.
 func TestRestoreMonitorErrors(t *testing.T) {
 	c := newChecker(t, linearProc(t), "LN", nil)
 	cases := []string{
-		``,
 		`{"version":3,"cases":{}}`,
-		`{"version":1,"cases":{"XX-1":{"purpose":"Ghost","configs":[]}}}`,
-		`{"version":1,"cases":{"LN-1":{"purpose":"Linear","configs":[{"state":"]["}]}}}`,
+		`{"version":1,"cases":{}}`,
+		`{"version":2,"cases":{"XX-1":{"purpose":"Ghost","configs":[]}}}`,
+		`{"version":2,"states":["]["],"cases":{"LN-1":{"purpose":"Linear","configs":[{"state_ref":0}]}}}`,
 		`{"version":2,"states":["nil"],"cases":{"LN-1":{"purpose":"Linear","configs":[{"state_ref":4}]}}}`,
 	}
 	for i, src := range cases {
-		if _, err := RestoreMonitor(c, strings.NewReader(src)); err == nil {
+		if _, err := restoreJSON(c, []byte(src)); err == nil {
 			t.Errorf("case %d: expected error", i)
 		}
+	}
+	// A case id the monitor already holds is refused.
+	m := NewMonitor(c)
+	if _, err := m.Feed(trailOf("LN-1", "P:T1").Entries()[0]); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.LoadState(m.State()); err == nil {
+		t.Error("duplicate case id: expected error")
 	}
 }

@@ -1,9 +1,11 @@
 package core_test
 
-// Differential tests for DFA minimization (CompileInput.Minimize):
-// replay over the minimized automaton must produce reports that are
-// byte-identical — JSON-encoded — to both the dense automaton's and
-// the interpreter's, on every workload. Run under -race in CI.
+// Differential tests for the minimized automata every compiled replay
+// runs on: reports must be byte-identical — JSON-encoded — to the
+// interpreter's on every workload, and checkpoints must resume across
+// engines at every cut point. That minimization preserves the
+// constructed table's language and metadata is proven separately, by
+// product construction, in internal/automaton. Run under -race in CI.
 
 import (
 	"bytes"
@@ -11,32 +13,18 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
-	"strings"
 	"testing"
 
 	"repro/internal/audit"
 	"repro/internal/core"
 	"repro/internal/hospital"
 	"repro/internal/loan"
-	"repro/internal/policy"
 )
 
-// newMinimizedChecker builds the third engine: compiled with
-// minimization on. It gets its own runtime — the shared compiled slot
-// is flag-keyed, so a minimized clone sharing a dense clone's runtime
-// would (correctly) fall back to the interpreter instead of compiling.
-func newMinimizedChecker(reg *core.Registry, roles *policy.RoleHierarchy) *core.Checker {
-	m := core.NewChecker(reg, roles)
-	m.UseCompiled = true
-	m.MinimizeAutomata = true
-	return m
-}
-
-// requireByteIdenticalReports replays the trail through the
-// interpreter, the dense automaton and the minimized automaton and
-// demands the three JSON encodings agree byte for byte (modulo the
-// engine markers).
-func requireByteIdenticalReports(t *testing.T, p enginePair, min *core.Checker, trail *audit.Trail) {
+// requireByteIdenticalReports replays the trail through the interpreter
+// and the compiled (minimized) automaton and demands the two JSON
+// encodings agree byte for byte (modulo the engine markers).
+func requireByteIdenticalReports(t *testing.T, p enginePair, trail *audit.Trail) {
 	t.Helper()
 	encode := func(c *core.Checker, name string) [][]byte {
 		reps, err := c.CheckTrail(trail)
@@ -57,17 +45,13 @@ func requireByteIdenticalReports(t *testing.T, p enginePair, min *core.Checker, 
 		return out
 	}
 	interp := encode(p.interp, "interpreted")
-	dense := encode(p.compiled, "dense")
-	mini := encode(min, "minimized")
-	if len(interp) != len(dense) || len(interp) != len(mini) {
-		t.Fatalf("report counts differ: %d interpreted, %d dense, %d minimized", len(interp), len(dense), len(mini))
+	compiled := encode(p.compiled, "compiled")
+	if len(interp) != len(compiled) {
+		t.Fatalf("report counts differ: %d interpreted, %d compiled", len(interp), len(compiled))
 	}
 	for i := range interp {
-		if !bytes.Equal(mini[i], dense[i]) {
-			t.Fatalf("minimized report differs from dense:\ndense:     %s\nminimized: %s", dense[i], mini[i])
-		}
-		if !bytes.Equal(mini[i], interp[i]) {
-			t.Fatalf("minimized report differs from interpreter:\ninterpreted: %s\nminimized:   %s", interp[i], mini[i])
+		if !bytes.Equal(compiled[i], interp[i]) {
+			t.Fatalf("compiled report differs from interpreter:\ninterpreted: %s\ncompiled:    %s", interp[i], compiled[i])
 		}
 	}
 }
@@ -75,12 +59,11 @@ func requireByteIdenticalReports(t *testing.T, p enginePair, min *core.Checker, 
 func TestDifferentialMinimizedHospital(t *testing.T) {
 	reg, roles := hospitalRegistry(t)
 	p := newEnginePair(t, reg, roles)
-	min := newMinimizedChecker(reg, roles)
 	trail, err := hospital.Trail()
 	if err != nil {
 		t.Fatal(err)
 	}
-	requireByteIdenticalReports(t, p, min, trail)
+	requireByteIdenticalReports(t, p, trail)
 
 	// Seeded random trails: garbage tasks, wrong roles, failures.
 	tasks := []string{"T01", "T02", "T03", "T04", "T05", "T06", "T07", "T08",
@@ -98,53 +81,47 @@ func TestDifferentialMinimizedHospital(t *testing.T) {
 			}
 			entries = append(entries, diffEntry(j, rolesList[rng.Intn(len(rolesList))], task, caseID))
 		}
-		requireByteIdenticalReports(t, p, min, audit.NewTrail(entries))
+		requireByteIdenticalReports(t, p, audit.NewTrail(entries))
 	}
 }
 
 func TestDifferentialMinimizedLoan(t *testing.T) {
 	reg, roles := loanRegistry(t)
 	p := newEnginePair(t, reg, roles)
-	min := newMinimizedChecker(reg, roles)
-	requireByteIdenticalReports(t, p, min, loan.Trail())
-	requireByteIdenticalReports(t, p, min, diffTrail("LA-40",
+	requireByteIdenticalReports(t, p, loan.Trail())
+	requireByteIdenticalReports(t, p, diffTrail("LA-40",
 		"IntakeClerk:L01", "CreditAnalyst:L02", "CreditAnalyst:!L02",
 		"CreditAnalyst:L02b", "IntakeClerk:L01", "CreditAnalyst:L02"))
-	requireByteIdenticalReports(t, p, min, diffTrail("LA-41",
+	requireByteIdenticalReports(t, p, diffTrail("LA-41",
 		"IntakeClerk:L01", "BankStaff:L02"))
-	requireByteIdenticalReports(t, p, min, diffTrail("LA-42", "IntakeClerk:L99"))
+	requireByteIdenticalReports(t, p, diffTrail("LA-42", "IntakeClerk:L99"))
 }
 
-// TestMinimizedSnapshotResume checkpoints mid-trail under the
-// minimized engine and resumes under every engine (and vice versa);
-// all verdicts must match an uninterrupted interpreter run. The
-// minimized->dense direction exercises the promotion guarantee
-// (representative member sets are real dense states); dense->minimized
-// exercises the graceful interpreter fallback for merged-away states.
+// TestMinimizedSnapshotResume checkpoints the hospital day at every cut
+// point and resumes it across engines. An interpreter configuration set
+// always matches a constructed DFA state, but minimization may have
+// merged that state away: such a case has no exact minimized state and
+// must resume on the interpreter, the rest promote. Either way every
+// resume must reach the uninterrupted interpreter run's final status.
 func TestMinimizedSnapshotResume(t *testing.T) {
-	reg, roles := loanRegistry(t)
-	entries := loan.Trail().Entries()
-	half := len(entries) / 2
+	reg, roles := hospitalRegistry(t)
+	trail, err := hospital.Trail()
+	if err != nil {
+		t.Fatal(err)
+	}
+	entries := trail.Entries()
 	p := newEnginePair(t, reg, roles)
-	min := newMinimizedChecker(reg, roles)
 
-	run := func(first, second *core.Checker) []core.CaseStatus {
+	run := func(first, second *core.Checker, cut int) []core.CaseStatus {
 		t.Helper()
 		m1 := core.NewMonitor(first)
-		for _, e := range entries[:half] {
+		for _, e := range entries[:cut] {
 			if _, err := m1.Feed(e); err != nil {
 				t.Fatal(err)
 			}
 		}
-		var buf bytes.Buffer
-		if err := m1.Snapshot(&buf); err != nil {
-			t.Fatal(err)
-		}
-		m2, err := core.RestoreMonitor(second, &buf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, e := range entries[half:] {
+		m2 := resumeOn(t, m1, second)
+		for _, e := range entries[cut:] {
 			if _, err := m2.Feed(e); err != nil {
 				t.Fatal(err)
 			}
@@ -153,57 +130,19 @@ func TestMinimizedSnapshotResume(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return st
+		return normalizeStatus(st)
 	}
 
-	baseline := run(p.interp.Clone(), p.interp.Clone())
-	for name, got := range map[string][]core.CaseStatus{
-		"minimized->minimized":   run(min.Clone(), min.Clone()),
-		"minimized->interpreted": run(min.Clone(), p.interp.Clone()),
-		"interpreted->minimized": run(p.interp.Clone(), min.Clone()),
-		"minimized->dense":       run(min.Clone(), p.compiled.Clone()),
-		"dense->minimized":       run(p.compiled.Clone(), min.Clone()),
-	} {
-		if !reflect.DeepEqual(normalizeStatus(baseline), normalizeStatus(got)) {
-			t.Fatalf("%s resume diverges:\nbaseline: %+v\ngot:      %+v", name, baseline, got)
+	baseline := run(p.interp.Clone(), p.interp.Clone(), 0)
+	for cut := 1; cut < len(entries); cut++ {
+		for name, got := range map[string][]core.CaseStatus{
+			"interpreted->compiled": run(p.interp.Clone(), p.compiled.Clone(), cut),
+			"compiled->compiled":    run(p.compiled.Clone(), p.compiled.Clone(), cut),
+			"compiled->interpreted": run(p.compiled.Clone(), p.interp.Clone(), cut),
+		} {
+			if !reflect.DeepEqual(baseline, got) {
+				t.Fatalf("cut %d: %s resume diverges:\nbaseline: %+v\ngot:      %+v", cut, name, baseline, got)
+			}
 		}
-	}
-}
-
-// TestMinimizeFingerprintDistinct pins the cache-safety property: the
-// minimize flag changes the fingerprint, so a dense artifact can never
-// be installed into a minimizing checker (or vice versa).
-func TestMinimizeFingerprintDistinct(t *testing.T) {
-	reg, roles := loanRegistry(t)
-	p := newEnginePair(t, reg, roles)
-	min := newMinimizedChecker(reg, roles)
-
-	fpDense, err := p.compiled.AutomatonFingerprint(loan.PurposeName)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fpMin, err := min.AutomatonFingerprint(loan.PurposeName)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fpDense == fpMin {
-		t.Fatal("dense and minimized fingerprints alias")
-	}
-
-	d, err := p.compiled.EnsureCompiled(loan.PurposeName)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := min.SetCompiled(loan.PurposeName, d); err == nil ||
-		!strings.Contains(err.Error(), "fingerprint") {
-		t.Fatalf("dense artifact accepted by minimizing checker: %v", err)
-	}
-	dm, err := min.EnsureCompiled(loan.PurposeName)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !dm.Minimized || dm.Fingerprint != fpMin {
-		t.Fatalf("EnsureCompiled under MinimizeAutomata: minimized=%v fp=%s want %s",
-			dm.Minimized, dm.Fingerprint, fpMin)
 	}
 }

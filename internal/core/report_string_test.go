@@ -175,9 +175,14 @@ func TestSymbolForEntryAndCacheStats(t *testing.T) {
 	if sym, found := symbolForEntry(d, ok); !found || sym < 0 {
 		t.Errorf("success entry: symbol %d found=%v", sym, found)
 	}
-	fail := failureAt(1, "u", "P", "T1", "F-1")
+	fail := failureAt(1, "u", "P", "T2", "F-1")
 	if sym, found := symbolForEntry(d, fail); !found || sym < 0 {
 		t.Errorf("failure entry: symbol %d found=%v", sym, found)
+	}
+	// T1 has no error handler: its failure rejects in every state, so
+	// alphabet compaction leaves it without a column.
+	if _, found := symbolForEntry(d, failureAt(1, "u", "P", "T1", "F-1")); found {
+		t.Error("unhandled failure kept a delta column")
 	}
 	if _, found := symbolForEntry(d, entryAt(2, "u", "P", "NoSuchTask", "F-1")); found {
 		t.Error("unknown task classified into the alphabet")

@@ -78,15 +78,15 @@ func TestSnapshotMidTrailResume(t *testing.T) {
 	for _, i := range feedHead {
 		feed(m1, i)
 	}
-	var buf strings.Builder
-	if err := m1.Snapshot(&buf); err != nil {
+	raw, err := json.Marshal(m1.State())
+	if err != nil {
 		t.Fatal(err)
 	}
 
 	// The snapshot is the deduplicated v2 format and records the
 	// indeterminacy cause.
 	var st MonitorState
-	if err := json.Unmarshal([]byte(buf.String()), &st); err != nil {
+	if err := json.Unmarshal(raw, &st); err != nil {
 		t.Fatal(err)
 	}
 	if st.Version != 2 || len(st.States) == 0 {
@@ -99,7 +99,7 @@ func TestSnapshotMidTrailResume(t *testing.T) {
 		t.Fatalf("LN-2 snapshot should be dead without a cause: %+v", cs)
 	}
 
-	m2, err := RestoreMonitor(snapshotChecker(t), strings.NewReader(buf.String()))
+	m2, err := restoreJSON(snapshotChecker(t), raw)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,48 +133,67 @@ func TestSnapshotMidTrailResume(t *testing.T) {
 	}
 }
 
-// TestSnapshotV1Compat: a version-1 snapshot (inline state terms, no
-// table, no cause) still restores; live cases resume exactly, dead
-// cases stay dead.
+// TestSnapshotV1Compat pins the snapshot compatibility boundary: a
+// version-1 snapshot (inline state terms, no table, no cause) is
+// refused with an error naming the version, never half-restored.
 func TestSnapshotV1Compat(t *testing.T) {
-	ln1 := trailOf("LN-1", "P:T1", "P:T2", "P:T3").Entries()
-	ln2bad := trailOf("LN-2", "P:T2").Entries()
-
 	m1 := NewMonitor(snapshotChecker(t))
-	for _, e := range ln1[:2] {
+	for _, e := range trailOf("LN-1", "P:T1", "P:T2").Entries() {
 		if _, err := m1.Feed(e); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if v, err := m1.Feed(ln2bad[0]); err != nil || v.OK {
-		t.Fatalf("LN-2 should deviate: %+v %v", v, err)
-	}
-
 	// Downgrade the v2 state to the v1 wire shape by hand.
 	v2 := m1.State()
-	v1 := MonitorState{Version: 1, Cases: map[string]CaseSnapshot{}}
+	type v1Config struct {
+		State  string       `json:"state"`
+		Active []ActiveTask `json:"active,omitempty"`
+	}
+	type v1Case struct {
+		Purpose string     `json:"purpose"`
+		Entries int        `json:"entries"`
+		Configs []v1Config `json:"configs"`
+	}
+	v1 := struct {
+		Version int               `json:"version"`
+		Cases   map[string]v1Case `json:"cases"`
+	}{Version: 1, Cases: map[string]v1Case{}}
 	for id, cs := range v2.Cases {
-		configs := make([]ConfigSnapshot, len(cs.Configs))
-		for i, cfg := range cs.Configs {
-			configs[i] = ConfigSnapshot{State: v2.States[cfg.StateRef], Active: cfg.Active}
+		c := v1Case{Purpose: cs.Purpose, Entries: cs.Entries}
+		for _, cfg := range cs.Configs {
+			c.Configs = append(c.Configs, v1Config{State: v2.States[cfg.StateRef], Active: cfg.Active})
 		}
-		v1.Cases[id] = CaseSnapshot{Purpose: cs.Purpose, Entries: cs.Entries, Dead: cs.Dead, Configs: configs}
+		v1.Cases[id] = c
 	}
 	raw, err := json.Marshal(&v1)
 	if err != nil {
 		t.Fatal(err)
 	}
+	m2 := NewMonitor(snapshotChecker(t))
+	var st MonitorState
+	if err := json.Unmarshal(raw, &st); err != nil {
+		t.Fatal(err)
+	}
+	if err := m2.LoadState(&st); err == nil || !strings.Contains(err.Error(), "version 1") {
+		t.Fatalf("v1 snapshot: err = %v, want an unsupported-version refusal", err)
+	}
+	if n := len(m2.State().Cases); n != 0 {
+		t.Fatalf("refused snapshot left %d cases behind", n)
+	}
+}
 
-	m2, err := RestoreMonitor(snapshotChecker(t), strings.NewReader(string(raw)))
-	if err != nil {
-		t.Fatalf("v1 snapshot rejected: %v", err)
+// restoreJSON decodes a JSON-encoded MonitorState — the form checkpoints
+// store it in — into a fresh monitor over c.
+func restoreJSON(c *Checker, data []byte) (*Monitor, error) {
+	var st MonitorState
+	if err := json.Unmarshal(data, &st); err != nil {
+		return nil, err
 	}
-	if v, err := m2.Feed(ln1[2]); err != nil || !v.OK {
-		t.Fatalf("LN-1 did not resume from v1 snapshot: %+v %v", v, err)
+	m := NewMonitor(c)
+	if err := m.LoadState(&st); err != nil {
+		return nil, err
 	}
-	if v, err := m2.Feed(ln2bad[0]); err != nil || v.OK {
-		t.Fatalf("LN-2 revived by v1 restore: %+v %v", v, err)
-	}
+	return m, nil
 }
 
 func statusOf(t *testing.T, m *Monitor) []CaseStatus {

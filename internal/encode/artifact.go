@@ -1,20 +1,17 @@
 package encode
 
-// Compiled-automaton artifacts (DESIGN.md §11). A purpose automaton is
-// serialized as a single gzip-compressed JSON envelope, versioned and
-// content-addressed: the file name is the automaton fingerprint — a
-// hash over the canonical COWS term, the compiler version and every
+// Compiled-automaton artifacts (DESIGN.md §11, §13). A purpose
+// automaton is stored as one flat binary container (binary.go), named
+// by its content address: the file name is the automaton fingerprint —
+// a hash over the canonical COWS term, the compiler version and every
 // semantic knob — so a cache directory can hold artifacts for many
 // purposes, flag combinations and compiler versions side by side, and
 // a loader that computes the expected fingerprint from its own inputs
 // can never pick up a stale or mismatched table.
 
 import (
-	"compress/gzip"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 
@@ -24,78 +21,15 @@ import (
 	"repro/internal/policy"
 )
 
-// ArtifactMagic identifies the envelope; ArtifactVersion is the
-// envelope format version (the table layout itself is versioned by
-// automaton.CompilerVersion inside).
-const (
-	ArtifactMagic   = "purpose-automaton-artifact"
-	ArtifactVersion = 1
-)
-
 // ErrArtifactMismatch reports an artifact whose identity does not
-// match what the loader expected (wrong magic, version, or
+// match what the loader expected (wrong magic, version, kind, CRC or
 // fingerprint). Callers treat it like a cache miss.
 var ErrArtifactMismatch = errors.New("encode: automaton artifact mismatch")
 
-// artifactEnvelope is the on-disk JSON shape.
-type artifactEnvelope struct {
-	Magic       string         `json:"magic"`
-	Version     int            `json:"version"`
-	Fingerprint string         `json:"fingerprint"`
-	Automaton   *automaton.DFA `json:"automaton"`
-}
-
-// WriteAutomaton serializes a compiled automaton to w (gzip + JSON).
-func WriteAutomaton(w io.Writer, d *automaton.DFA) error {
-	zw := gzip.NewWriter(w)
-	env := artifactEnvelope{
-		Magic:       ArtifactMagic,
-		Version:     ArtifactVersion,
-		Fingerprint: d.Fingerprint,
-		Automaton:   d,
-	}
-	if err := json.NewEncoder(zw).Encode(&env); err != nil {
-		zw.Close()
-		return fmt.Errorf("encode automaton: %w", err)
-	}
-	return zw.Close()
-}
-
-// ReadAutomaton deserializes an artifact and validates it (envelope
-// identity, then the automaton's own table invariants via Finish).
-func ReadAutomaton(r io.Reader) (*automaton.DFA, error) {
-	zr, err := gzip.NewReader(r)
-	if err != nil {
-		return nil, fmt.Errorf("%w: not gzip: %v", ErrArtifactMismatch, err)
-	}
-	defer zr.Close()
-	var env artifactEnvelope
-	if err := json.NewDecoder(zr).Decode(&env); err != nil {
-		return nil, fmt.Errorf("decode automaton: %w", err)
-	}
-	if env.Magic != ArtifactMagic {
-		return nil, fmt.Errorf("%w: magic %q", ErrArtifactMismatch, env.Magic)
-	}
-	if env.Version != ArtifactVersion {
-		return nil, fmt.Errorf("%w: envelope version %d, want %d", ErrArtifactMismatch, env.Version, ArtifactVersion)
-	}
-	if env.Automaton == nil {
-		return nil, fmt.Errorf("%w: empty automaton", ErrArtifactMismatch)
-	}
-	if env.Automaton.Fingerprint != env.Fingerprint {
-		return nil, fmt.Errorf("%w: envelope fingerprint %.12s != automaton %.12s",
-			ErrArtifactMismatch, env.Fingerprint, env.Automaton.Fingerprint)
-	}
-	if err := env.Automaton.Finish(); err != nil {
-		return nil, fmt.Errorf("invalid automaton artifact: %w", err)
-	}
-	return env.Automaton, nil
-}
-
-// ArtifactPath is the content-addressed location of an automaton with
+// artifactPath is the content-addressed location of the automaton with
 // the given fingerprint inside dir.
-func ArtifactPath(dir, fingerprint string) string {
-	return filepath.Join(dir, fingerprint+".dfa.json.gz")
+func artifactPath(dir, fingerprint string) string {
+	return filepath.Join(dir, fingerprint+".dfa.bin")
 }
 
 // SaveAutomaton writes d into dir under its content address
@@ -113,37 +47,32 @@ func SaveAutomaton(dir string, d *automaton.DFA) (string, error) {
 		return "", err
 	}
 	defer os.Remove(tmp.Name())
-	if err := WriteAutomaton(tmp, d); err != nil {
+	if err := WriteAutomatonBinary(tmp, d); err != nil {
 		tmp.Close()
 		return "", err
 	}
 	if err := tmp.Close(); err != nil {
 		return "", err
 	}
-	path := ArtifactPath(dir, d.Fingerprint)
+	path := artifactPath(dir, d.Fingerprint)
 	if err := os.Rename(tmp.Name(), path); err != nil {
 		return "", err
 	}
 	return path, nil
 }
 
-// LoadAutomaton loads the artifact with the given fingerprint from
-// dir: the flat binary artifact if present (binary.go), else the
-// gzip+JSON envelope as the compatibility reader. A missing file
-// returns os.ErrNotExist; a file whose content does not carry that
-// fingerprint returns ErrArtifactMismatch. A present-but-corrupt
-// binary fails loudly rather than silently falling back — the two
-// files are written by different flags, not redundant copies.
+// LoadAutomaton loads and validates the artifact with the given
+// fingerprint from dir. A missing file returns os.ErrNotExist — files
+// in any other format, such as the gzip+JSON artifacts older versions
+// wrote, are never looked at, so they are plain cache misses. A file
+// whose content does not carry that fingerprint returns
+// ErrArtifactMismatch.
 func LoadAutomaton(dir, fingerprint string) (*automaton.DFA, error) {
-	if bin := BinaryArtifactPath(dir, fingerprint); fileExists(bin) {
-		return loadAutomatonBinary(bin, fingerprint)
-	}
-	f, err := os.Open(ArtifactPath(dir, fingerprint))
+	data, err := os.ReadFile(artifactPath(dir, fingerprint))
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close()
-	d, err := ReadAutomaton(f)
+	d, err := ReadAutomatonBinary(data)
 	if err != nil {
 		return nil, err
 	}
@@ -152,13 +81,6 @@ func LoadAutomaton(dir, fingerprint string) (*automaton.DFA, error) {
 			ErrArtifactMismatch, d.Fingerprint, fingerprint)
 	}
 	return d, nil
-}
-
-// fileExists reports whether path exists (any stat error counts as
-// absent; the subsequent open surfaces real problems).
-func fileExists(path string) bool {
-	_, err := os.Stat(path)
-	return err == nil
 }
 
 // CompileInput assembles the automaton compiler input for a process:

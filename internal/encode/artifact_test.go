@@ -4,7 +4,8 @@ import (
 	"bytes"
 	"errors"
 	"os"
-	"reflect"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/automaton"
@@ -29,26 +30,20 @@ func compileTreatment(t *testing.T) *automaton.DFA {
 	return d
 }
 
+// TestArtifactRoundTrip saves an automaton into a cache directory and
+// loads it back by fingerprint: every table survives the trip through
+// the file.
 func TestArtifactRoundTrip(t *testing.T) {
 	d := compileTreatment(t)
-	var buf bytes.Buffer
-	if err := encode.WriteAutomaton(&buf, d); err != nil {
+	dir := t.TempDir()
+	if _, err := encode.SaveAutomaton(dir, d); err != nil {
 		t.Fatal(err)
 	}
-	got, err := encode.ReadAutomaton(bytes.NewReader(buf.Bytes()))
+	got, err := encode.LoadAutomaton(dir, d.Fingerprint)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Fingerprint != d.Fingerprint || got.NumStates() != d.NumStates() ||
-		got.NumSymbols() != d.NumSymbols() {
-		t.Fatalf("round trip changed identity: %s vs %s", got.Stats(), d.Stats())
-	}
-	if !reflect.DeepEqual(got.Delta, d.Delta) {
-		t.Fatal("round trip changed the transition table")
-	}
-	if !reflect.DeepEqual(got.States, d.States) {
-		t.Fatal("round trip changed state metadata")
-	}
+	requireSameDFA(t, d, got)
 }
 
 func TestArtifactSaveLoad(t *testing.T) {
@@ -58,22 +53,15 @@ func TestArtifactSaveLoad(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if path != encode.ArtifactPath(dir, d.Fingerprint) {
+	if path != filepath.Join(dir, d.Fingerprint+".dfa.bin") {
 		t.Fatalf("saved to %q, want content address", path)
-	}
-	got, err := encode.LoadAutomaton(dir, d.Fingerprint)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Fingerprint != d.Fingerprint {
-		t.Fatal("load returned a different automaton")
 	}
 	// A fingerprint with no artifact is a plain cache miss.
 	if _, err := encode.LoadAutomaton(dir, "deadbeef"); !errors.Is(err, os.ErrNotExist) {
 		t.Fatalf("missing artifact: err = %v, want ErrNotExist", err)
 	}
 	// A file whose content disagrees with its address is rejected.
-	if err := os.Rename(path, encode.ArtifactPath(dir, "deadbeef")); err != nil {
+	if err := os.Rename(path, filepath.Join(dir, "deadbeef.dfa.bin")); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := encode.LoadAutomaton(dir, "deadbeef"); !errors.Is(err, encode.ErrArtifactMismatch) {
@@ -81,18 +69,27 @@ func TestArtifactSaveLoad(t *testing.T) {
 	}
 }
 
+// TestArtifactRejectsCorruption covers artifacts that are well-formed
+// containers but not usable tables: one whose meta section carries no
+// symbol map (the unminimized layout) is refused, on disk too, where
+// the refusal is an error rather than a miss so the caller logs it
+// before recompiling.
 func TestArtifactRejectsCorruption(t *testing.T) {
 	d := compileTreatment(t)
+	d.SymMap, d.Columns = nil, 0
 	var buf bytes.Buffer
-	if err := encode.WriteAutomaton(&buf, d); err != nil {
+	if err := encode.WriteAutomatonBinary(&buf, d); err != nil {
 		t.Fatal(err)
 	}
-	// Not gzip at all.
-	if _, err := encode.ReadAutomaton(bytes.NewReader([]byte("{}"))); !errors.Is(err, encode.ErrArtifactMismatch) {
-		t.Fatalf("plain JSON accepted: %v", err)
+	_, err := encode.ReadAutomatonBinary(buf.Bytes())
+	if err == nil || !strings.Contains(err.Error(), "not minimized") {
+		t.Fatalf("table without a symbol map: err = %v, want a not-minimized refusal", err)
 	}
-	// Truncated stream.
-	if _, err := encode.ReadAutomaton(bytes.NewReader(buf.Bytes()[:buf.Len()/2])); err == nil {
-		t.Fatal("truncated artifact accepted")
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, d.Fingerprint+".dfa.bin"), buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := encode.LoadAutomaton(dir, d.Fingerprint); err == nil || errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("on-disk table without a symbol map: err = %v, want a load error", err)
 	}
 }

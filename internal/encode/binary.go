@@ -1,12 +1,12 @@
 package encode
 
-// Flat binary containers (DESIGN.md §13). The gzip+JSON envelope in
-// artifact.go is simple and debuggable, but boot and restore pay for
-// it: every int32 of a delta table round-trips through decimal JSON,
-// and every COWS term through string escaping. The binary container
-// keeps the small, irregular metadata as one JSON section and stores
-// the big rectangular arrays as raw little-endian int32 sections, so
-// a loader mostly copies bytes.
+// Flat binary containers (DESIGN.md §13): the one on-disk format for
+// automaton artifacts and auditd checkpoints. A container keeps the
+// small, irregular metadata as JSON sections and stores the big
+// rectangular arrays as raw little-endian int32 sections (and term
+// tables as string-table sections), so a loader mostly copies bytes
+// instead of round-tripping every int32 through decimal JSON and every
+// COWS term through string escaping.
 //
 // Layout (all little-endian):
 //
@@ -32,8 +32,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"os"
-	"path/filepath"
 
 	"repro/internal/automaton"
 )
@@ -49,12 +47,6 @@ const BinaryVersion = 1
 
 // binaryMagic opens every flat binary container.
 var binaryMagic = [8]byte{0x89, 'P', 'C', 'B', '\r', '\n', 0x1a, '\n'}
-
-// IsBinaryContainer sniffs a file prefix for the container magic, so
-// loaders can auto-detect the format before committing to a decoder.
-func IsBinaryContainer(prefix []byte) bool {
-	return len(prefix) >= len(binaryMagic) && [8]byte(prefix[:8]) == binaryMagic
-}
 
 // Section is one directory entry's payload, identified by a
 // kind-specific id.
@@ -103,7 +95,7 @@ func WriteContainer(w io.Writer, kind uint32, sections []Section) error {
 // by id. The returned slices alias data — callers that mutate must
 // copy (the codecs below copy into their own arrays).
 func ReadContainer(data []byte, kind uint32) (map[uint32][]byte, error) {
-	if len(data) < binHeaderSize || !IsBinaryContainer(data) {
+	if len(data) < binHeaderSize || [8]byte(data[:8]) != binaryMagic {
 		return nil, fmt.Errorf("%w: not a binary container", ErrArtifactMismatch)
 	}
 	if v := binary.LittleEndian.Uint32(data[8:]); v != BinaryVersion {
@@ -300,7 +292,6 @@ type binAutomatonMeta struct {
 	ActiveSets        [][]automaton.ActiveTask `json:"active_sets"`
 	States            []binStateMeta           `json:"states"`
 	Start             int32                    `json:"start"`
-	Minimized         bool                     `json:"minimized,omitempty"`
 	Columns           int32                    `json:"columns,omitempty"`
 }
 
@@ -324,7 +315,6 @@ func WriteAutomatonBinary(w io.Writer, d *automaton.DFA) error {
 		Texts:             d.Texts,
 		ActiveSets:        d.ActiveSets,
 		Start:             d.Start,
-		Minimized:         d.Minimized,
 		Columns:           d.Columns,
 	}
 	offsets := make([]int32, 0, len(d.States)+1)
@@ -361,7 +351,9 @@ func WriteAutomatonBinary(w io.Writer, d *automaton.DFA) error {
 }
 
 // ReadAutomatonBinary deserializes a flat binary artifact image and
-// validates it exactly as ReadAutomaton does for the JSON envelope.
+// validates the automaton's table invariants (Finish): a table without
+// a symbol map — the unminimized layout older versions could write —
+// is refused.
 func ReadAutomatonBinary(data []byte) (*automaton.DFA, error) {
 	secs, err := ReadContainer(data, KindAutomaton)
 	if err != nil {
@@ -415,11 +407,8 @@ func ReadAutomatonBinary(data []byte) (*automaton.DFA, error) {
 		ActiveSets:        meta.ActiveSets,
 		Start:             meta.Start,
 		Delta:             delta,
-		Minimized:         meta.Minimized,
+		SymMap:            symMap,
 		Columns:           meta.Columns,
-	}
-	if len(symMap) > 0 {
-		d.SymMap = symMap
 	}
 	d.Configs = make([]automaton.Config, len(rawConfigs)/2)
 	for i := range d.Configs {
@@ -442,57 +431,6 @@ func ReadAutomatonBinary(data []byte) (*automaton.DFA, error) {
 	}
 	if err := d.Finish(); err != nil {
 		return nil, fmt.Errorf("invalid automaton artifact: %w", err)
-	}
-	return d, nil
-}
-
-// BinaryArtifactPath is the content-addressed location of the flat
-// binary automaton artifact inside dir.
-func BinaryArtifactPath(dir, fingerprint string) string {
-	return filepath.Join(dir, fingerprint+".dfa.bin")
-}
-
-// SaveAutomatonBinary writes d into dir as a flat binary artifact
-// under its content address (temp + rename, like SaveAutomaton).
-func SaveAutomatonBinary(dir string, d *automaton.DFA) (string, error) {
-	if d.Fingerprint == "" {
-		return "", errors.New("encode: automaton has no fingerprint")
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return "", err
-	}
-	tmp, err := os.CreateTemp(dir, ".dfa-*")
-	if err != nil {
-		return "", err
-	}
-	defer os.Remove(tmp.Name())
-	if err := WriteAutomatonBinary(tmp, d); err != nil {
-		tmp.Close()
-		return "", err
-	}
-	if err := tmp.Close(); err != nil {
-		return "", err
-	}
-	path := BinaryArtifactPath(dir, d.Fingerprint)
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		return "", err
-	}
-	return path, nil
-}
-
-// loadAutomatonBinary reads and validates the binary artifact file.
-func loadAutomatonBinary(path, fingerprint string) (*automaton.DFA, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	d, err := ReadAutomatonBinary(data)
-	if err != nil {
-		return nil, err
-	}
-	if d.Fingerprint != fingerprint {
-		return nil, fmt.Errorf("%w: loaded fingerprint %.12s, want %.12s",
-			ErrArtifactMismatch, d.Fingerprint, fingerprint)
 	}
 	return d, nil
 }

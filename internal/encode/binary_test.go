@@ -1,51 +1,28 @@
 package encode_test
 
-// Compatibility tests for the flat binary artifact (DESIGN.md §13):
-// both containers — binary and gzip+JSON — must decode to identical
-// DFA tables and fingerprints, and a damaged binary file must be
-// rejected, never half-loaded.
+// Tests for the flat binary artifact (DESIGN.md §13), the only
+// automaton artifact format: a round trip keeps every table, files in
+// any other format are cache misses, and a damaged or unminimized
+// table is rejected, never half-loaded.
 
 import (
 	"bytes"
+	"compress/gzip"
 	"errors"
 	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 
 	"repro/internal/automaton"
 	"repro/internal/encode"
-	"repro/internal/hospital"
 )
-
-func compileTreatmentMinimized(t *testing.T) *automaton.DFA {
-	t.Helper()
-	p, err := hospital.Treatment()
-	if err != nil {
-		t.Fatal(err)
-	}
-	roles, err := hospital.Roles()
-	if err != nil {
-		t.Fatal(err)
-	}
-	in, err := encode.CompileInput(p, roles)
-	if err != nil {
-		t.Fatal(err)
-	}
-	in.System = encode.NewSystem(p)
-	in.Minimize = true
-	d, err := automaton.Compile(in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return d
-}
 
 // requireSameDFA demands two decoded automata agree on every table the
 // replay path touches.
 func requireSameDFA(t *testing.T, a, b *automaton.DFA) {
 	t.Helper()
-	if a.Fingerprint != b.Fingerprint || a.Start != b.Start ||
-		a.Minimized != b.Minimized || a.Columns != b.Columns {
+	if a.Fingerprint != b.Fingerprint || a.Start != b.Start || a.Columns != b.Columns {
 		t.Fatalf("identity differs: %s vs %s", a.Stats(), b.Stats())
 	}
 	if !reflect.DeepEqual(a.Delta, b.Delta) || !reflect.DeepEqual(a.SymMap, b.SymMap) {
@@ -62,68 +39,66 @@ func requireSameDFA(t *testing.T, a, b *automaton.DFA) {
 	}
 }
 
+// TestBinaryArtifactRoundTrip decodes an encoded automaton back to the
+// same tables, and re-encodes the decoded one to the same bytes: the
+// image is a deterministic function of the tables.
 func TestBinaryArtifactRoundTrip(t *testing.T) {
-	for _, tc := range []struct {
-		name    string
-		compile func(*testing.T) *automaton.DFA
-	}{
-		{"dense", compileTreatment},
-		{"minimized", compileTreatmentMinimized},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			d := tc.compile(t)
-			var bin bytes.Buffer
-			if err := encode.WriteAutomatonBinary(&bin, d); err != nil {
-				t.Fatal(err)
-			}
-			got, err := encode.ReadAutomatonBinary(bin.Bytes())
-			if err != nil {
-				t.Fatal(err)
-			}
-			requireSameDFA(t, d, got)
-
-			// The two container formats must be interchangeable: the
-			// gzip+JSON envelope of the same automaton decodes to the
-			// same tables.
-			var env bytes.Buffer
-			if err := encode.WriteAutomaton(&env, d); err != nil {
-				t.Fatal(err)
-			}
-			fromJSON, err := encode.ReadAutomaton(bytes.NewReader(env.Bytes()))
-			if err != nil {
-				t.Fatal(err)
-			}
-			requireSameDFA(t, got, fromJSON)
-		})
-	}
+	t.Run("minimized", func(t *testing.T) {
+		d := compileTreatment(t)
+		var bin bytes.Buffer
+		if err := encode.WriteAutomatonBinary(&bin, d); err != nil {
+			t.Fatal(err)
+		}
+		got, err := encode.ReadAutomatonBinary(bin.Bytes())
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireSameDFA(t, d, got)
+		var again bytes.Buffer
+		if err := encode.WriteAutomatonBinary(&again, got); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(bin.Bytes(), again.Bytes()) {
+			t.Fatal("re-encoding the decoded automaton changed the image")
+		}
+	})
 }
 
-// TestBinaryArtifactSaveLoad pins the loader's format auto-detection:
-// with only a binary artifact on disk LoadAutomaton uses it, with only
-// the envelope it falls back, and a stale address is rejected.
+// TestBinaryArtifactSaveLoad pins the cache's format rule: a directory
+// that holds only the gzip+JSON artifact older versions wrote under
+// the same fingerprint is a plain miss (os.ErrNotExist), so the caller
+// recompiles; the fresh save writes <fingerprint>.dfa.bin beside it,
+// and the next load uses that.
 func TestBinaryArtifactSaveLoad(t *testing.T) {
 	d := compileTreatment(t)
 	dir := t.TempDir()
-	path, err := encode.SaveAutomatonBinary(dir, d)
+	old := filepath.Join(dir, d.Fingerprint+".dfa.json.gz")
+	f, err := os.Create(old)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if path != encode.BinaryArtifactPath(dir, d.Fingerprint) {
-		t.Fatalf("saved to %q, want content address", path)
+	zw := gzip.NewWriter(f)
+	zw.Write([]byte(`{"magic":"purpose-automaton-artifact","version":1}`))
+	if err := zw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+	if _, err := encode.LoadAutomaton(dir, d.Fingerprint); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("gzip+JSON-only cache: err = %v, want os.ErrNotExist", err)
+	}
+
+	path, err := encode.SaveAutomaton(dir, d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if path != filepath.Join(dir, d.Fingerprint+".dfa.bin") {
+		t.Fatalf("saved to %q, want <fingerprint>.dfa.bin", path)
 	}
 	got, err := encode.LoadAutomaton(dir, d.Fingerprint)
 	if err != nil {
 		t.Fatal(err)
 	}
 	requireSameDFA(t, d, got)
-
-	// Binary under a wrong content address is a mismatch, not a load.
-	if err := os.Rename(path, encode.BinaryArtifactPath(dir, "deadbeef")); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := encode.LoadAutomaton(dir, "deadbeef"); !errors.Is(err, encode.ErrArtifactMismatch) {
-		t.Fatalf("mismatched binary artifact: err = %v, want ErrArtifactMismatch", err)
-	}
 }
 
 func TestBinaryArtifactRejectsCorruption(t *testing.T) {

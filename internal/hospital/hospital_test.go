@@ -1,6 +1,7 @@
 package hospital
 
 import (
+	"encoding/json"
 	"strings"
 	"testing"
 	"time"
@@ -580,13 +581,17 @@ func TestMonitorSnapshotMidCase(t *testing.T) {
 			t.Fatalf("feed: %+v %v", v, err)
 		}
 	}
-	var buf strings.Builder
-	if err := m1.Snapshot(&buf); err != nil {
+	// Through JSON, the form a checkpoint stores the state in.
+	raw, err := json.Marshal(m1.State())
+	if err != nil {
 		t.Fatal(err)
 	}
-
-	m2, err := core.RestoreMonitor(core.NewChecker(sc.Registry, roles), strings.NewReader(buf.String()))
-	if err != nil {
+	var st core.MonitorState
+	if err := json.Unmarshal(raw, &st); err != nil {
+		t.Fatal(err)
+	}
+	m2 := core.NewMonitor(core.NewChecker(sc.Registry, roles))
+	if err := m2.LoadState(&st); err != nil {
 		t.Fatal(err)
 	}
 	for i, e := range entries[cut:] {
@@ -595,11 +600,11 @@ func TestMonitorSnapshotMidCase(t *testing.T) {
 			t.Fatalf("post-restore entry %d: %+v %v", cut+i, v, err)
 		}
 	}
-	st, err := m2.Status()
+	status, err := m2.Status()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(st) != 1 || !st[0].CanComplete || st[0].Deviated {
-		t.Fatalf("restored case status = %+v", st)
+	if len(status) != 1 || !status[0].CanComplete || status[0].Deviated {
+		t.Fatalf("restored case status = %+v", status)
 	}
 }

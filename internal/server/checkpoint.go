@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -16,8 +17,10 @@ import (
 
 // Checkpointing: the server periodically (and on shutdown, after the
 // queues drain) writes its whole live state — merged monitor state,
-// case views, quarantine — to CheckpointPath via write-to-temp +
-// atomic rename, so a crash never leaves a torn file. On Start the
+// case views, quarantine, sealed ledger batches — to CheckpointPath
+// via write-to-temp + fsync + atomic rename + directory fsync, so a
+// crash never leaves a torn file and a checkpoint that the WAL
+// truncation relies on is durable. On Start the
 // file is read back and the cases are re-split across shards by case
 // hash, which also makes the shard count a restart-time knob: a
 // 4-shard snapshot restores cleanly into 16 shards.
@@ -29,23 +32,21 @@ import (
 // snapshot; producers that need zero loss should use ?wait=1 and
 // retry anything unacknowledged.
 
-// checkpointFile is the on-disk format.
+// checkpointFile is the logical content of a checkpoint;
+// encodeCheckpoint packs it into the on-disk container.
 type checkpointFile struct {
-	Version   int                  `json:"version"`
-	SavedUnix int64                `json:"saved_unix"`
-	Monitor   *core.MonitorState   `json:"monitor"`
-	Views     map[string]*CaseView `json:"views,omitempty"`
+	SavedUnix int64
+	Monitor   *core.MonitorState
+	Views     map[string]*CaseView
 	// Quarantine persists the held records and the all-time total so
 	// /v1/quarantine survives restarts.
-	QuarantineTotal int64              `json:"quarantine_total,omitempty"`
-	Quarantine      []QuarantineRecord `json:"quarantine,omitempty"`
+	QuarantineTotal int64
+	Quarantine      []QuarantineRecord
 	// Ledger persists the sealed batches (open leaves rebuild from WAL
 	// replay — see walSafeLSN for the truncation clamp that keeps them
 	// replayable).
-	Ledger *ledger.State `json:"ledger,omitempty"`
+	Ledger *ledger.State
 }
-
-const checkpointVersion = 1
 
 // checkpointLoop snapshots every CheckpointEvery until stopped.
 func (s *Server) checkpointLoop() {
@@ -184,7 +185,6 @@ func (s *Server) writeCheckpoint(dumps []shardDump) error {
 	_, qtotal := s.quar.stats()
 	recs := s.quar.snapshot()
 	file := checkpointFile{
-		Version:         checkpointVersion,
 		SavedUnix:       time.Now().Unix(),
 		Monitor:         merged,
 		Views:           views,
@@ -205,12 +205,7 @@ func (s *Server) writeCheckpoint(dumps []shardDump) error {
 		return fmt.Errorf("server: checkpoint temp file: %w", err)
 	}
 	defer os.Remove(tmp.Name())
-	if s.cfg.BinaryCheckpoint {
-		err = writeCheckpointBinary(tmp, &file)
-	} else if err = json.NewEncoder(tmp).Encode(&file); err != nil {
-		err = fmt.Errorf("server: encoding checkpoint: %w", err)
-	}
-	if err != nil {
+	if err := encodeCheckpoint(tmp, &file); err != nil {
 		tmp.Close()
 		return err
 	}
@@ -222,6 +217,13 @@ func (s *Server) writeCheckpoint(dumps []shardDump) error {
 		return fmt.Errorf("server: closing checkpoint: %w", err)
 	}
 	if err := os.Rename(tmp.Name(), s.cfg.CheckpointPath); err != nil {
+		return fmt.Errorf("server: publishing checkpoint: %w", err)
+	}
+	// The rename is durable only once the directory entry is: without
+	// this fsync a power loss could bring back the previous checkpoint
+	// after checkpointRunning has already truncated the WAL records
+	// that followed it.
+	if err := syncDir(dir); err != nil {
 		return fmt.Errorf("server: publishing checkpoint: %w", err)
 	}
 	if file.Ledger != nil {
@@ -270,8 +272,25 @@ func mergeStates(dumps []shardDump) *core.MonitorState {
 	return merged
 }
 
-// readCheckpointFile reads and decodes the checkpoint file, in either
-// format. A missing file is (nil, nil).
+// syncDir fsyncs a directory, making the entries renamed into it
+// durable.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	return err
+}
+
+// readCheckpointFile reads and decodes the checkpoint file. A missing
+// file is (nil, nil); anything that is not a valid checkpoint
+// container — a JSON checkpoint from an older auditd included — is an
+// error naming the path, so Start refuses to boot over it instead of
+// silently starting empty.
 func (s *Server) readCheckpointFile() (*checkpointFile, error) {
 	data, err := os.ReadFile(s.cfg.CheckpointPath)
 	if errors.Is(err, fs.ErrNotExist) {
@@ -280,22 +299,11 @@ func (s *Server) readCheckpointFile() (*checkpointFile, error) {
 	if err != nil {
 		return nil, fmt.Errorf("server: opening checkpoint: %w", err)
 	}
-	var file checkpointFile
-	if encode.IsBinaryContainer(data) {
-		bf, err := readCheckpointBinary(data)
-		if err != nil {
-			return nil, fmt.Errorf("server: decoding checkpoint %s: %w", s.cfg.CheckpointPath, err)
-		}
-		file = *bf
-	} else {
-		if err := json.Unmarshal(data, &file); err != nil {
-			return nil, fmt.Errorf("server: decoding checkpoint %s: %w", s.cfg.CheckpointPath, err)
-		}
-		if file.Version != checkpointVersion {
-			return nil, fmt.Errorf("server: unsupported checkpoint version %d", file.Version)
-		}
+	file, err := decodeCheckpoint(data)
+	if err != nil {
+		return nil, fmt.Errorf("server: decoding checkpoint %s (only the binary checkpoint container is read): %w", s.cfg.CheckpointPath, err)
 	}
-	return &file, nil
+	return file, nil
 }
 
 // restore loads the checkpoint file, if configured and present, and
@@ -354,4 +362,134 @@ func (s *Server) restore() error {
 	s.log.Info("checkpoint restored", "path", s.cfg.CheckpointPath,
 		"cases", len(file.Views), "saved", time.Unix(file.SavedUnix, 0).Format(time.RFC3339))
 	return nil
+}
+
+// Checkpoint encoding: the logical checkpointFile packed into the flat
+// binary container from internal/encode (DESIGN.md §13). The monitor's
+// canonical COWS terms — long, punctuation-heavy strings — ride as a
+// raw string-table section; only the small, irregular remainder (case
+// metadata, views, quarantine, ledger) is JSON.
+
+// checkpointVersion is the checkpoint format version carried in the
+// container's meta section. Version 1 was the JSON file older auditd
+// versions wrote; it is no longer read.
+const checkpointVersion = 2
+
+// Checkpoint section ids.
+const (
+	secCkptMeta       = uint32(1) // JSON: version, timestamp, totals
+	secCkptTerms      = uint32(2) // string table: monitor state terms
+	secCkptCases      = uint32(3) // JSON: case snapshots (StateRef into terms)
+	secCkptViews      = uint32(4) // JSON: case views
+	secCkptQuarantine = uint32(5) // JSON: held quarantine records
+	secCkptLedger     = uint32(6) // JSON: sealed ledger batches (absent without a ledger)
+)
+
+// binCkptMeta is the checkpoint's JSON metadata section.
+type binCkptMeta struct {
+	Version         int   `json:"version"`
+	SavedUnix       int64 `json:"saved_unix"`
+	MonitorVersion  int   `json:"monitor_version,omitempty"`
+	QuarantineTotal int64 `json:"quarantine_total,omitempty"`
+}
+
+// encodeCheckpoint packs the assembled checkpoint into a container on
+// w.
+func encodeCheckpoint(w io.Writer, file *checkpointFile) error {
+	meta := binCkptMeta{
+		Version:         checkpointVersion,
+		SavedUnix:       file.SavedUnix,
+		QuarantineTotal: file.QuarantineTotal,
+	}
+	var terms []string
+	var cases map[string]core.CaseSnapshot
+	if file.Monitor != nil {
+		meta.MonitorVersion = file.Monitor.Version
+		terms = file.Monitor.States
+		cases = file.Monitor.Cases
+	}
+	metaJSON, err := json.Marshal(&meta)
+	if err != nil {
+		return fmt.Errorf("server: encoding checkpoint meta: %w", err)
+	}
+	casesJSON, err := json.Marshal(cases)
+	if err != nil {
+		return fmt.Errorf("server: encoding checkpoint cases: %w", err)
+	}
+	viewsJSON, err := json.Marshal(file.Views)
+	if err != nil {
+		return fmt.Errorf("server: encoding checkpoint views: %w", err)
+	}
+	quarJSON, err := json.Marshal(file.Quarantine)
+	if err != nil {
+		return fmt.Errorf("server: encoding checkpoint quarantine: %w", err)
+	}
+	sections := []encode.Section{
+		{ID: secCkptMeta, Data: metaJSON},
+		{ID: secCkptTerms, Data: encode.StringTableSection(terms)},
+		{ID: secCkptCases, Data: casesJSON},
+		{ID: secCkptViews, Data: viewsJSON},
+		{ID: secCkptQuarantine, Data: quarJSON},
+	}
+	if file.Ledger != nil {
+		// The ledger state is irregular (hex hashes, raw entry JSON), so
+		// it rides as a JSON section; its integrity does not depend on
+		// the container — LoadState re-verifies every byte.
+		ledgerJSON, err := json.Marshal(file.Ledger)
+		if err != nil {
+			return fmt.Errorf("server: encoding checkpoint ledger: %w", err)
+		}
+		sections = append(sections, encode.Section{ID: secCkptLedger, Data: ledgerJSON})
+	}
+	return encode.WriteContainer(w, encode.KindCheckpoint, sections)
+}
+
+// decodeCheckpoint decodes a checkpoint image back into the logical
+// checkpointFile shape restore splits across shards.
+func decodeCheckpoint(data []byte) (*checkpointFile, error) {
+	secs, err := encode.ReadContainer(data, encode.KindCheckpoint)
+	if err != nil {
+		return nil, err
+	}
+	var meta binCkptMeta
+	if err := json.Unmarshal(secs[secCkptMeta], &meta); err != nil {
+		return nil, fmt.Errorf("server: checkpoint meta section: %w", err)
+	}
+	if meta.Version != checkpointVersion {
+		return nil, fmt.Errorf("server: unsupported checkpoint version %d", meta.Version)
+	}
+	terms, err := encode.ReadStringTableSection(secs[secCkptTerms])
+	if err != nil {
+		return nil, fmt.Errorf("server: checkpoint terms section: %w", err)
+	}
+	file := &checkpointFile{
+		SavedUnix:       meta.SavedUnix,
+		QuarantineTotal: meta.QuarantineTotal,
+	}
+	var cases map[string]core.CaseSnapshot
+	if err := json.Unmarshal(secs[secCkptCases], &cases); err != nil {
+		return nil, fmt.Errorf("server: checkpoint cases section: %w", err)
+	}
+	if cases != nil || len(terms) > 0 {
+		mv := meta.MonitorVersion
+		if mv == 0 {
+			mv = 2
+		}
+		if cases == nil {
+			cases = map[string]core.CaseSnapshot{}
+		}
+		file.Monitor = &core.MonitorState{Version: mv, States: terms, Cases: cases}
+	}
+	if err := json.Unmarshal(secs[secCkptViews], &file.Views); err != nil {
+		return nil, fmt.Errorf("server: checkpoint views section: %w", err)
+	}
+	if err := json.Unmarshal(secs[secCkptQuarantine], &file.Quarantine); err != nil {
+		return nil, fmt.Errorf("server: checkpoint quarantine section: %w", err)
+	}
+	if data, ok := secs[secCkptLedger]; ok {
+		if err := json.Unmarshal(data, &file.Ledger); err != nil {
+			return nil, fmt.Errorf("server: checkpoint ledger section: %w", err)
+		}
+	}
+	return file, nil
 }

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"crypto/ed25519"
 	"crypto/sha256"
@@ -216,7 +217,6 @@ func TestLedgerCrashRebuildMatchesControl(t *testing.T) {
 func TestLedgerCheckpointRoundTrip(t *testing.T) {
 	sc := hospitalScenario(t)
 	cfg := ledgerConfig(t, 2, 4)
-	cfg.BinaryCheckpoint = true
 
 	srv1, ts1 := startServer(t, sc, cfg)
 	if resp, _ := post(t, ts1.URL+"/v1/events?wait=1", "application/x-ndjson", ndjson(t, sc.Trail)); resp.StatusCode != http.StatusAccepted {
@@ -270,29 +270,26 @@ func TestLedgerTamperedCheckpointRefusesBoot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var file map[string]json.RawMessage
-	if err := json.Unmarshal(data, &file); err != nil {
+	file, err := decodeCheckpoint(data)
+	if err != nil {
 		t.Fatal(err)
 	}
-	var st ledger.State
-	if err := json.Unmarshal(file["ledger"], &st); err != nil {
-		t.Fatalf("checkpoint has no ledger state: %v", err)
+	st := file.Ledger
+	if st == nil {
+		t.Fatal("checkpoint has no ledger state")
 	}
 	entry := string(st.Batches[0].Entries[0])
 	if !strings.Contains(entry, `"user":`) {
 		t.Fatalf("unexpected entry shape: %s", entry)
 	}
 	st.Batches[0].Entries[0] = json.RawMessage(strings.Replace(entry, `"user":"`, `"user":"x`, 1))
-	raw, err := json.Marshal(&st)
-	if err != nil {
+	// Re-encoding gives the container a valid CRC: only the ledger's
+	// own re-verification stands between the edit and a restore.
+	var out bytes.Buffer
+	if err := encodeCheckpoint(&out, file); err != nil {
 		t.Fatal(err)
 	}
-	file["ledger"] = raw
-	out, err := json.Marshal(file)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(cfg.CheckpointPath, out, 0o644); err != nil {
+	if err := os.WriteFile(cfg.CheckpointPath, out.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}
 
