@@ -3,7 +3,8 @@
 # build, race-enabled tests (the chaos suite in internal/faultinject
 # runs under -race here), a fuzz smoke over the ingestion surface plus
 # the compiled-vs-interpreted differential target, a coverage ratchet
-# on the replay engines and the observability layer, the declarative
+# on the replay engines, the observability layer and the durability
+# packages (server, write-ahead log), the declarative
 # purpose-test corpus (every scenario fixture replayed through both
 # engines with byte-identical reports and a DFA state-coverage floor),
 # a benchmark guard
@@ -19,7 +20,7 @@
 # Stages run standalone too:
 #   sh ci.sh            # everything
 #   sh ci.sh lint       # gofmt + vet + staticcheck
-#   sh ci.sh cover      # coverage ratchet (internal/core, internal/automaton, internal/obs, internal/encode, internal/ledger, internal/scenario)
+#   sh ci.sh cover      # coverage ratchet (internal/core, internal/automaton, internal/obs, internal/encode, internal/ledger, internal/scenario, internal/server, internal/wal)
 #   sh ci.sh scenarios  # declarative purpose-test corpus (purposectl test ./scenarios/...)
 #   sh ci.sh benchguard # quick P1/P3/P4/P5/P6/P7/P8/P10 run vs BENCH_pr*.json
 #   sh ci.sh smoke      # auditd server smoke (also `make smoke`)
@@ -535,16 +536,18 @@ lint() {
 # (internal/automaton), the observability layer (internal/obs), the
 # artifact codec (internal/encode — it deserializes what the automata
 # trust), the tamper-evidence layer (internal/ledger — it signs what
-# auditors rely on) and the scenario framework (internal/scenario — it
-# decides what the corpus asserts). The combined figure must stay
-# >= COVER_MIN.
+# auditors rely on), the scenario framework (internal/scenario — it
+# decides what the corpus asserts), and the two packages that carry the
+# durability contract — a 202 means the entry is durable — the server
+# (internal/server) and the write-ahead log (internal/wal). The
+# combined figure must stay >= COVER_MIN.
 cover() {
-	echo "== coverage ratchet (internal/core, internal/automaton, internal/obs, internal/encode, internal/ledger, internal/scenario; min ${COVER_MIN}%) =="
-	go test -coverprofile=cover.out ./internal/core/ ./internal/automaton/ ./internal/obs/ ./internal/encode/ ./internal/ledger/ ./internal/scenario/
+	echo "== coverage ratchet (internal/core, internal/automaton, internal/obs, internal/encode, internal/ledger, internal/scenario, internal/server, internal/wal; min ${COVER_MIN}%) =="
+	go test -coverprofile=cover.out ./internal/core/ ./internal/automaton/ ./internal/obs/ ./internal/encode/ ./internal/ledger/ ./internal/scenario/ ./internal/server/ ./internal/wal/
 	total=$(go tool cover -func=cover.out | awk '/^total:/ {sub(/%/, "", $3); print $3}')
-	echo "combined engine coverage: ${total}%"
+	echo "combined coverage (engines + durability): ${total}%"
 	if [ -n "${GITHUB_STEP_SUMMARY:-}" ]; then
-		echo "Engine coverage: **${total}%** (floor ${COVER_MIN}%)" >>"$GITHUB_STEP_SUMMARY"
+		echo "Engine + durability coverage: **${total}%** (floor ${COVER_MIN}%)" >>"$GITHUB_STEP_SUMMARY"
 	fi
 	awk -v t="$total" -v min="$COVER_MIN" 'BEGIN { exit (t+0 >= min+0) ? 0 : 1 }' || {
 		echo "coverage ${total}% fell below the ${COVER_MIN}% floor" >&2

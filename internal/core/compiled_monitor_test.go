@@ -200,4 +200,10 @@ func TestCompiledSnapshotDeadCases(t *testing.T) {
 	if v.OK || v.Violation == nil {
 		t.Fatalf("dead case revived after cross-engine restore: %+v", v)
 	}
+	// Resumed on the compiled engine, the dead case keeps the engine it
+	// died on and reports no live configurations.
+	m3 := resumeOn(t, mc, p.compiled.Clone())
+	if r, ok := m3.Case("LA-66"); !ok || !r.Deviated || r.Engine != core.EngineCompiled || r.Configurations != 0 {
+		t.Errorf("dead case after compiled restore = %+v", r)
+	}
 }

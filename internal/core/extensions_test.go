@@ -292,4 +292,12 @@ func TestRestoreMonitorErrors(t *testing.T) {
 	if err := m.LoadState(m.State()); err == nil {
 		t.Error("duplicate case id: expected error")
 	}
+	// A case with no purpose restores dead, whatever its dead flag says.
+	m2, err := restoreJSON(c, []byte(`{"version":2,"cases":{"ZZ-1":{"purpose":"","entries":1,"dead":false}}}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v, err := m2.Feed(entryAt(1, "u", "P", "T1", "ZZ-1")); err != nil || v.Violation == nil || v.CaseEntries != 2 {
+		t.Errorf("feed after restoring a purpose-less case = %+v, %v", v, err)
+	}
 }

@@ -7,6 +7,7 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"repro/internal/audit"
 	"repro/internal/automaton"
@@ -85,6 +86,8 @@ func ShardCase(caseID string, shards int) int {
 }
 
 type caseState struct {
+	// purpose is nil for a case whose code is bound to no registered
+	// purpose; such a case is dead from its first entry.
 	purpose *Purpose
 	configs []*Configuration
 	entries int
@@ -103,6 +106,12 @@ type caseState struct {
 	// feeds of a dead case re-surface it, and snapshots carry it so a
 	// restored monitor keeps the narrative.
 	expl *Explanation
+	// violation is the first violation's diagnosis (Violation.String()).
+	violation string
+	// updated is the log time of the case's last fed entry; seq is the
+	// caller's sequence number for it (FeedSeq; 0 when none was given).
+	updated time.Time
+	seq     uint64
 }
 
 // configCount is the live configuration-set size under either engine.
@@ -113,9 +122,64 @@ func (cs *caseState) configCount() int {
 	return len(cs.configs)
 }
 
+// engine names the replay engine carrying the case.
+func (cs *caseState) engine() string {
+	switch {
+	case cs.purpose == nil:
+		return ""
+	case cs.dfa != nil:
+		return EngineCompiled
+	}
+	return EngineInterpreted
+}
+
+// status copies the case's record. CanComplete is left to Status.
+func (cs *caseState) status(id string) CaseStatus {
+	r := CaseStatus{
+		Case:          id,
+		Entries:       cs.entries,
+		Deviated:      cs.dead,
+		Indeterminate: cs.cause,
+		Engine:        cs.engine(),
+		Violation:     cs.violation,
+		Explanation:   cs.expl,
+		Updated:       cs.updated,
+		Seq:           cs.seq,
+	}
+	if cs.purpose != nil {
+		r.Purpose = cs.purpose.Name
+	}
+	if !cs.dead {
+		r.Configurations = cs.configCount()
+	}
+	return r
+}
+
+// Case returns one case's record without Status's replay, so
+// CanComplete stays false.
+func (m *Monitor) Case(caseID string) (CaseStatus, bool) {
+	cs, ok := m.cases[caseID]
+	if !ok {
+		return CaseStatus{}, false
+	}
+	return cs.status(caseID), true
+}
+
+// EachCase calls fn with every case's record (as Case), in no order.
+func (m *Monitor) EachCase(fn func(CaseStatus)) {
+	for id, cs := range m.cases {
+		fn(cs.status(id))
+	}
+}
+
+// Len is the number of monitored cases.
+func (m *Monitor) Len() int { return len(m.cases) }
+
 // Verdict is the outcome of feeding one entry.
 type Verdict struct {
 	Case string
+	// Purpose is the case's purpose; empty when none is bound to it.
+	Purpose string
 	// OK is true when the entry extended a valid execution.
 	OK bool
 	// Violation describes the deviation when !OK and the case's analysis
@@ -127,8 +191,6 @@ type Verdict struct {
 	Indeterminate *Indeterminacy
 	// CaseEntries counts entries seen for the case so far.
 	CaseEntries int
-	// Configurations is the live configuration count after the entry.
-	Configurations int
 	// Engine is the replay engine that consumed the entry ("compiled"
 	// or "interpreted"); empty when no engine ran (unknown purpose).
 	Engine string
@@ -136,6 +198,9 @@ type Verdict struct {
 	// engine-neutral and sticky — repeated feeds of a dead case carry
 	// the original explanation, including across snapshot restores.
 	Explanation *Explanation
+	// FirstDeviation is set on the case's first non-OK verdict: the
+	// entry that turned it from compliant to violation or indeterminate.
+	FirstDeviation bool
 }
 
 // NewMonitor builds a monitor sharing the checker's configuration (the
@@ -157,7 +222,7 @@ var errUnknownPurpose = fmt.Errorf("core: case code is not bound to any register
 
 func (m *Monitor) caseStateFor(caseID string) (*caseState, error) {
 	st, ok := m.cases[caseID]
-	if ok {
+	if ok && st.purpose != nil {
 		return st, nil
 	}
 	pur := m.checker.registry.ForCase(caseID)
@@ -278,7 +343,14 @@ func (m *Monitor) Peek(e audit.Entry) (bool, error) {
 
 // Feed consumes one entry.
 func (m *Monitor) Feed(e audit.Entry) (*Verdict, error) {
-	return m.FeedContext(context.Background(), e)
+	return m.feed(context.Background(), e, 0)
+}
+
+// FeedSeq is Feed that also records seq, the caller's sequence number
+// for the entry (auditd passes the entry's WAL LSN), in the case's
+// record. seq 0 leaves the recorded number unchanged.
+func (m *Monitor) FeedSeq(e audit.Entry, seq uint64) (*Verdict, error) {
+	return m.feed(context.Background(), e, seq)
 }
 
 // FeedContext is Feed honoring ctx. A budget/cap overflow or a panic
@@ -286,49 +358,72 @@ func (m *Monitor) Feed(e audit.Entry) (*Verdict, error) {
 // case (further feeds keep reporting it indeterminate); other monitored
 // cases are unaffected.
 func (m *Monitor) FeedContext(ctx context.Context, e audit.Entry) (*Verdict, error) {
+	return m.feed(ctx, e, 0)
+}
+
+func (m *Monitor) feed(ctx context.Context, e audit.Entry, seq uint64) (*Verdict, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	v := &Verdict{Case: e.Case}
 	st, err := m.caseStateFor(e.Case)
+	if errors.Is(err, errUnknownPurpose) {
+		if st = m.cases[e.Case]; st == nil {
+			st = &caseState{dead: true}
+			m.cases[e.Case] = st
+		}
+	} else if err != nil {
+		return nil, err
+	}
+	v, err := m.advanceCase(st, e)
 	if err != nil {
-		if errors.Is(err, errUnknownPurpose) {
-			uv := &Violation{
+		return nil, err
+	}
+	st.updated = e.Time
+	if seq > 0 {
+		st.seq = seq
+	}
+	return v, nil
+}
+
+// advanceCase replays one entry of the case.
+func (m *Monitor) advanceCase(st *caseState, e audit.Entry) (*Verdict, error) {
+	st.entries++
+	v := &Verdict{Case: e.Case, CaseEntries: st.entries, Engine: st.engine()}
+	if st.purpose != nil {
+		v.Purpose = st.purpose.Name
+	}
+
+	if st.dead {
+		switch {
+		case st.purpose == nil:
+			// Every entry of a case bound to no purpose is a violation;
+			// the record keeps the first.
+			v.Violation = &Violation{
 				Kind:   ViolationUnknownPurpose,
 				Entry:  &e,
 				Reason: fmt.Sprintf("case code %q is not bound to any registered purpose", CaseCode(e.Case)),
 			}
-			return &Verdict{
-				Case:        e.Case,
-				Violation:   uv,
-				Explanation: m.checker.explainViolation(nil, e.Case, uv, 0),
-			}, nil
-		}
-		return nil, err
-	}
-	st.entries++
-	v.CaseEntries = st.entries
-	v.Engine = EngineInterpreted
-	if st.dfa != nil {
-		v.Engine = EngineCompiled
-	}
-
-	if st.dead {
-		if st.expl == nil && st.cause != nil {
-			// Born-dead case (setup exceeded its budget): derive the
-			// narrative on first feed.
-			st.expl = explainIndeterminacy(e.Case, st.purpose.Name, st.cause)
-		}
-		v.Explanation = st.expl
-		if st.cause != nil {
+			v.Explanation = m.checker.explainViolation(nil, e.Case, v.Violation, 0)
+			if st.violation == "" {
+				st.die(v, v.Explanation)
+			}
+			return v, nil
+		case st.cause != nil:
+			if st.expl == nil {
+				// Born-dead case (setup exceeded its budget): derive the
+				// narrative on first feed.
+				st.expl = explainIndeterminacy(e.Case, st.purpose.Name, st.cause)
+				v.FirstDeviation = true
+			}
 			v.Indeterminate = st.cause
-		} else {
+		default:
 			v.Violation = &Violation{
 				Kind:   ViolationInvalidExecution,
 				Entry:  &e,
 				Reason: "case already deviated from its purpose's process",
 			}
 		}
+		v.Explanation = st.expl
 		return v, nil
 	}
 
@@ -338,16 +433,12 @@ func (m *Monitor) FeedContext(ctx context.Context, e audit.Entry) (*Verdict, err
 			dnext = st.dfa.Step(st.dstate, sym)
 		}
 		if dnext == automaton.Reject {
-			st.dead = true
 			v.Violation = m.checker.describeViolationCompiled(st.dfa, st.dstate, st.purpose, st.entries-1, e)
-			v.Configurations = st.configCount()
-			st.expl = m.checker.explainViolation(st.purpose, e.Case, v.Violation, st.configCount())
-			v.Explanation = st.expl
+			st.die(v, m.checker.explainViolation(st.purpose, e.Case, v.Violation, st.configCount()))
 			return v, nil
 		}
 		st.dstate = dnext
 		v.OK = true
-		v.Configurations = st.configCount()
 		return v, nil
 	}
 
@@ -367,69 +458,79 @@ func (m *Monitor) FeedContext(ctx context.Context, e audit.Entry) (*Verdict, err
 	if err != nil {
 		if ind := indeterminacyFor(err); ind != nil {
 			ind.EntryIndex = st.entries - 1
-			st.dead = true
 			st.cause = ind
-			st.expl = explainIndeterminacy(e.Case, st.purpose.Name, ind)
 			v.Indeterminate = ind
-			v.Explanation = st.expl
+			st.die(v, explainIndeterminacy(e.Case, st.purpose.Name, ind))
 			return v, nil
 		}
 		return nil, fmt.Errorf("core: monitoring case %s: %w", e.Case, err)
 	}
 	if !found {
-		st.dead = true
 		v.Violation = m.checker.describeViolation(st.purpose, st.configs, st.entries-1, e)
-		v.Configurations = len(st.configs)
-		st.expl = m.checker.explainViolation(st.purpose, e.Case, v.Violation, len(st.configs))
-		v.Explanation = st.expl
+		st.die(v, m.checker.explainViolation(st.purpose, e.Case, v.Violation, len(st.configs)))
 		return v, nil
 	}
 	st.configs = next
 	v.OK = true
-	v.Configurations = len(next)
 	return v, nil
 }
 
-// CaseStatus summarizes a monitored case.
+// die marks the case dead on its first non-OK verdict v, keeping the
+// verdict's diagnosis and explanation in the record.
+func (st *caseState) die(v *Verdict, expl *Explanation) {
+	st.dead = true
+	st.expl = expl
+	if v.Violation != nil {
+		st.violation = v.Violation.String()
+	}
+	v.Explanation = expl
+	v.FirstDeviation = true
+}
+
+// CaseStatus is a copy of one monitored case's record.
 type CaseStatus struct {
-	Case           string
-	Purpose        string
-	Entries        int
-	Deviated       bool
+	Case string
+	// Purpose is empty when the case code is bound to no purpose.
+	Purpose  string
+	Entries  int
+	Deviated bool
+	// Configurations is the live configuration count (0 once deviated).
 	Configurations int
-	CanComplete    bool
+	// CanComplete is computed by Status only.
+	CanComplete bool
 	// Indeterminate is set when the case's analysis was abandoned
 	// (budget, configuration cap, recovered panic); Deviated is then
 	// true without a violation verdict.
 	Indeterminate *Indeterminacy
 	// Engine is the replay engine carrying the case: "compiled" or
-	// "interpreted". Cases restored from snapshots may stay interpreted
-	// even when the fast path is on (DESIGN.md §11).
+	// "interpreted", empty without a purpose. Cases restored from
+	// snapshots may stay interpreted even when the fast path is on
+	// (DESIGN.md §11).
 	Engine string
+	// Violation is the first violation's diagnosis (Violation.String()).
+	Violation string
+	// Explanation accounts for the first deviation; nil while compliant.
+	Explanation *Explanation
+	// Updated is the log time of the last fed entry; Seq is the
+	// caller's sequence number for it (FeedSeq; 0 when none was given).
+	Updated time.Time
+	Seq     uint64
 }
 
-// Status reports all monitored cases, sorted by case id.
+// Status reports all monitored cases with a purpose, sorted by case
+// id; Case and EachCase also report cases bound to no purpose.
 func (m *Monitor) Status() ([]CaseStatus, error) {
 	var out []CaseStatus
 	for id, st := range m.cases {
-		cs := CaseStatus{
-			Case:           id,
-			Purpose:        st.purpose.Name,
-			Entries:        st.entries,
-			Deviated:       st.dead,
-			Configurations: st.configCount(),
-			Indeterminate:  st.cause,
-			Engine:         EngineInterpreted,
-		}
-		if st.dfa != nil {
-			cs.Engine = EngineCompiled
-			if !st.dead {
-				cs.CanComplete = st.dfa.States[st.dstate].CanComplete
-			}
-			out = append(out, cs)
+		if st.purpose == nil {
 			continue
 		}
-		if !st.dead {
+		cs := st.status(id)
+		switch {
+		case st.dead:
+		case st.dfa != nil:
+			cs.CanComplete = st.dfa.States[st.dstate].CanComplete
+		default:
 			y := m.checker.runtime(st.purpose).sys
 			for _, conf := range st.configs {
 				done, err := y.CanTerminateSilently(conf.state)

@@ -2,7 +2,9 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
+	"time"
 
 	"repro/internal/automaton"
 	"repro/internal/cows"
@@ -35,8 +37,10 @@ type MonitorState struct {
 	Cases map[string]CaseSnapshot `json:"cases"`
 }
 
-// CaseSnapshot is one case's live state.
+// CaseSnapshot is one case's record.
 type CaseSnapshot struct {
+	// Purpose is empty for a case whose code is bound to no purpose
+	// (a dead case with no configurations).
 	Purpose string `json:"purpose"`
 	Entries int    `json:"entries"`
 	Dead    bool   `json:"dead"`
@@ -47,8 +51,14 @@ type CaseSnapshot struct {
 	// restored monitor keeps re-surfacing it on further feeds. Absent
 	// in snapshots written before the field existed; restore tolerates
 	// nil.
-	Explanation *Explanation     `json:"explanation,omitempty"`
-	Configs     []ConfigSnapshot `json:"configs,omitempty"`
+	Explanation *Explanation `json:"explanation,omitempty"`
+	// Violation is the first violation's diagnosis (Violation.String()).
+	Violation string `json:"violation,omitempty"`
+	// Updated is the log time of the case's last fed entry; Seq is the
+	// caller's sequence number for it (FeedSeq).
+	Updated time.Time        `json:"updated"`
+	Seq     uint64           `json:"seq,omitempty"`
+	Configs []ConfigSnapshot `json:"configs,omitempty"`
 }
 
 // ConfigSnapshot is one live configuration: a state (by index into
@@ -68,7 +78,10 @@ func (m *Monitor) State() *MonitorState {
 	st := &MonitorState{Version: snapshotVersion, Cases: make(map[string]CaseSnapshot, len(m.cases))}
 	table := map[string]int{}
 	for id, cs := range m.cases {
-		snap := CaseSnapshot{Purpose: cs.purpose.Name, Entries: cs.entries, Dead: cs.dead}
+		snap := CaseSnapshot{Entries: cs.entries, Dead: cs.dead, Violation: cs.violation, Updated: cs.updated, Seq: cs.seq}
+		if cs.purpose != nil {
+			snap.Purpose = cs.purpose.Name
+		}
 		if cs.cause != nil {
 			c := *cs.cause
 			snap.Cause = &c
@@ -123,11 +136,7 @@ func (m *Monitor) LoadState(st *MonitorState) error {
 		if _, dup := m.cases[id]; dup {
 			return fmt.Errorf("core: snapshot case %s already monitored", id)
 		}
-		pur := m.checker.registry.Purpose(cs.Purpose)
-		if pur == nil {
-			return fmt.Errorf("core: snapshot references unknown purpose %q", cs.Purpose)
-		}
-		ns := &caseState{purpose: pur, entries: cs.Entries, dead: cs.Dead}
+		ns := &caseState{entries: cs.Entries, dead: cs.Dead, violation: cs.Violation, updated: cs.Updated, seq: cs.Seq}
 		if cs.Cause != nil {
 			c := *cs.Cause
 			ns.cause = &c
@@ -136,6 +145,17 @@ func (m *Monitor) LoadState(st *MonitorState) error {
 			x := *cs.Explanation
 			ns.expl = &x
 		}
+		if cs.Purpose == "" {
+			// A case bound to no purpose is dead; nothing to rebuild.
+			ns.dead = true
+			m.cases[id] = ns
+			continue
+		}
+		pur := m.checker.registry.Purpose(cs.Purpose)
+		if pur == nil {
+			return fmt.Errorf("core: snapshot references unknown purpose %q", cs.Purpose)
+		}
+		ns.purpose = pur
 		rt := m.checker.runtime(pur)
 		for _, cfg := range cs.Configs {
 			if cfg.StateRef < 0 || cfg.StateRef >= len(st.States) {
@@ -147,13 +167,7 @@ func (m *Monitor) LoadState(st *MonitorState) error {
 			}
 			tasks := append([]ActiveTask(nil), cfg.Active...)
 			sort.Slice(tasks, func(i, j int) bool { return activeLess(tasks[i], tasks[j]) })
-			dedup := tasks[:0]
-			for _, t := range tasks {
-				if len(dedup) == 0 || t != dedup[len(dedup)-1] {
-					dedup = append(dedup, t)
-				}
-			}
-			conf, err := m.checker.newConfiguration(rt, pur, state, rt.sys.Intern(state), rt.active.intern(dedup))
+			conf, err := m.checker.newConfiguration(rt, pur, state, rt.sys.Intern(state), rt.active.intern(slices.Compact(tasks)))
 			if err != nil {
 				return fmt.Errorf("core: rebuilding case %s: %w", id, err)
 			}
@@ -161,8 +175,9 @@ func (m *Monitor) LoadState(st *MonitorState) error {
 		}
 		// A checkpoint taken under either engine resumes on the compiled
 		// fast path when the configuration set maps onto a determinized
-		// state; otherwise the case keeps running interpreted.
-		if d, _ := m.checker.compiledFor(pur); d != nil && !ns.dead {
+		// state; otherwise the case keeps running interpreted. A dead
+		// case maps too, so it keeps reporting the engine it died on.
+		if d, _ := m.checker.compiledFor(pur); d != nil {
 			if sid, ok := promoteCase(d, rt, ns.configs); ok {
 				ns.dfa, ns.dstate, ns.configs = d, sid, nil
 			}
@@ -193,12 +208,6 @@ func promoteCase(d *automaton.DFA, rt *purposeRT, configs []*Configuration) (int
 		}
 		ids = append(ids, id)
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	dedup := ids[:0]
-	for _, id := range ids {
-		if len(dedup) == 0 || id != dedup[len(dedup)-1] {
-			dedup = append(dedup, id)
-		}
-	}
-	return d.StateOf(dedup)
+	slices.Sort(ids)
+	return d.StateOf(slices.Compact(ids))
 }

@@ -6,6 +6,8 @@ import (
 	"sort"
 	"strings"
 	"testing"
+
+	"repro/internal/audit"
 )
 
 // snapshotFixture is a monitor over a two-purpose registry holding, at
@@ -204,4 +206,88 @@ func statusOf(t *testing.T, m *Monitor) []CaseStatus {
 	}
 	sort.Slice(st, func(i, j int) bool { return st[i].Case < st[j].Case })
 	return st
+}
+
+// TestMonitorCaseRecord checks the per-case record behind Case and
+// EachCase: entry counts (unknown-purpose cases included), the first
+// violation, the last entry's time and the caller's sequence number,
+// no configurations once dead — and that a snapshot carries all of it.
+func TestMonitorCaseRecord(t *testing.T) {
+	ln1 := trailOf("LN-1", "P:T1", "P:T2").Entries()
+	ln2 := trailOf("LN-2", "P:T2").Entries()
+	zz := []audit.Entry{entryAt(7, "u", "P", "T1", "ZZ-9"), entryAt(8, "u", "P", "T2", "ZZ-9")}
+
+	m := NewMonitor(snapshotChecker(t))
+	feed := func(e audit.Entry, seq uint64) *Verdict {
+		t.Helper()
+		v, err := m.FeedSeq(e, seq)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return v
+	}
+	feed(ln1[0], 1)
+	feed(ln1[1], 2)
+	died := feed(ln2[0], 3)
+	if !died.FirstDeviation || died.Purpose != "Linear" {
+		t.Fatalf("dying verdict = %+v", died)
+	}
+	if again := feed(ln2[0], 0); again.FirstDeviation || again.CaseEntries != 2 {
+		t.Fatalf("refeed of a dead case = %+v", again)
+	}
+	if v := feed(zz[0], 4); !v.FirstDeviation || v.CaseEntries != 1 {
+		t.Fatalf("first unknown-purpose verdict = %+v", v)
+	}
+	if v := feed(zz[1], 5); v.FirstDeviation || v.CaseEntries != 2 || v.Violation.Kind != ViolationUnknownPurpose {
+		t.Fatalf("second unknown-purpose verdict = %+v", v)
+	}
+
+	rec := func(m *Monitor, id string) CaseStatus {
+		t.Helper()
+		r, ok := m.Case(id)
+		if !ok {
+			t.Fatalf("case %s has no record", id)
+		}
+		return r
+	}
+	if r := rec(m, "LN-1"); r.Deviated || r.Entries != 2 || r.Configurations == 0 || r.Seq != 2 ||
+		!r.Updated.Equal(ln1[1].Time) || r.Purpose != "Linear" || r.Engine != EngineInterpreted || r.Explanation != nil {
+		t.Errorf("LN-1 record = %+v", r)
+	}
+	if r := rec(m, "LN-2"); !r.Deviated || r.Entries != 2 || r.Configurations != 0 || r.Seq != 3 ||
+		r.Violation != died.Violation.String() || r.Explanation != died.Explanation {
+		t.Errorf("LN-2 record = %+v", r)
+	}
+	if r := rec(m, "ZZ-9"); !r.Deviated || r.Entries != 2 || r.Purpose != "" || r.Engine != "" || r.Seq != 5 ||
+		!r.Updated.Equal(zz[1].Time) || !strings.HasPrefix(r.Violation, "[unknown-purpose]") || r.Explanation == nil {
+		t.Errorf("ZZ-9 record = %+v", r)
+	}
+	if _, ok := m.Case("LN-7"); ok || m.Len() != 3 {
+		t.Errorf("Len = %d, want 3 with no LN-7", m.Len())
+	}
+	if st := statusOf(t, m); len(st) != 2 {
+		t.Errorf("Status = %+v, want the two cases with a purpose", st)
+	}
+	if _, err := m.Enabled("ZZ-9"); err == nil {
+		t.Error("Enabled on an unknown-purpose case did not fail")
+	}
+
+	raw, err := json.Marshal(m.State())
+	if err != nil {
+		t.Fatal(err)
+	}
+	m2, err := restoreJSON(snapshotChecker(t), raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := 0
+	m.EachCase(func(want CaseStatus) {
+		seen++
+		if got := rec(m2, want.Case); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s record after restore:\n got %+v\nwant %+v", want.Case, got, want)
+		}
+	})
+	if seen != 3 || m2.Len() != 3 {
+		t.Errorf("EachCase visited %d cases, restored monitor holds %d", seen, m2.Len())
+	}
 }

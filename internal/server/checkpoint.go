@@ -13,11 +13,13 @@ import (
 	"repro/internal/core"
 	"repro/internal/encode"
 	"repro/internal/ledger"
+	"repro/internal/wal"
 )
 
 // Checkpointing: the server periodically (and on shutdown, after the
-// queues drain) writes its whole live state — merged monitor state,
-// case views, quarantine, sealed ledger batches — to CheckpointPath
+// queues drain) writes its whole live state — merged monitor state
+// (one record per case), quarantine, sealed ledger batches — to
+// CheckpointPath
 // via write-to-temp + fsync + atomic rename + directory fsync, so a
 // crash never leaves a torn file and a checkpoint that the WAL
 // truncation relies on is durable. On Start the
@@ -37,7 +39,6 @@ import (
 type checkpointFile struct {
 	SavedUnix int64
 	Monitor   *core.MonitorState
-	Views     map[string]*CaseView
 	// Quarantine persists the held records and the all-time total so
 	// /v1/quarantine survives restarts.
 	QuarantineTotal int64
@@ -80,16 +81,16 @@ func (s *Server) checkpointRunning() error {
 		return nil
 	}
 	lowWater := s.walLowWater()
-	replies := make([]<-chan shardDump, len(s.shards))
+	replies := make([]<-chan *core.MonitorState, len(s.shards))
 	for i, sh := range s.shards {
 		replies[i] = sh.requestDump()
 	}
-	dumps := make([]shardDump, len(s.shards))
+	dumps := make([]*core.MonitorState, len(s.shards))
 	for i, ch := range replies {
 		dumps[i] = <-ch
 	}
 	for i := range dumps {
-		if dumps[i].incomplete {
+		if dumps[i] == nil {
 			// The shard's dump panicked (serveSnap still replied, so
 			// the loop is not wedged). Writing a cut missing its cases
 			// would lose them on restore — skip the whole round and
@@ -112,16 +113,7 @@ func (s *Server) checkpointRunning() error {
 
 // checkpointFinal reads the monitors directly; only valid after the
 // shard workers have exited.
-func (s *Server) checkpointFinal() error {
-	if s.cfg.CheckpointPath == "" {
-		return nil
-	}
-	dumps := make([]shardDump, len(s.shards))
-	for i, sh := range s.shards {
-		dumps[i] = sh.dump()
-	}
-	return s.writeCheckpoint(dumps)
-}
+func (s *Server) checkpointFinal() error { return s.checkpointPartial(s.shards, nil) }
 
 // checkpointPartial is the drain-deadline checkpoint: direct dumps
 // from the shards that finished, and — for the stragglers — their
@@ -132,7 +124,7 @@ func (s *Server) checkpointPartial(drained []*shard, stale map[int]bool) error {
 	if s.cfg.CheckpointPath == "" {
 		return nil
 	}
-	dumps := make([]shardDump, 0, len(drained)+1)
+	dumps := make([]*core.MonitorState, 0, len(drained)+1)
 	for _, sh := range drained {
 		dumps = append(dumps, sh.dump())
 	}
@@ -144,22 +136,14 @@ func (s *Server) checkpointPartial(drained []*shard, stale map[int]bool) error {
 		case prev == nil:
 			s.log.Warn("no previous checkpoint; straggler cases restored from WAL only")
 		default:
-			d := shardDump{views: map[string]*CaseView{}}
-			if prev.Monitor != nil {
-				d.state = &core.MonitorState{
-					Version: prev.Monitor.Version,
-					States:  prev.Monitor.States,
-					Cases:   map[string]core.CaseSnapshot{},
-				}
-				for id, cs := range prev.Monitor.Cases {
-					if stale[core.ShardCase(id, len(s.shards))] {
-						d.state.Cases[id] = cs
-					}
-				}
+			d := &core.MonitorState{
+				Version: prev.Monitor.Version,
+				States:  prev.Monitor.States,
+				Cases:   map[string]core.CaseSnapshot{},
 			}
-			for id, v := range prev.Views {
+			for id, cs := range prev.Monitor.Cases {
 				if stale[core.ShardCase(id, len(s.shards))] {
-					d.views[id] = v
+					d.Cases[id] = cs
 				}
 			}
 			dumps = append(dumps, d)
@@ -170,24 +154,17 @@ func (s *Server) checkpointPartial(drained []*shard, stale map[int]bool) error {
 
 // writeCheckpoint merges the shard dumps and writes the file
 // atomically.
-func (s *Server) writeCheckpoint(dumps []shardDump) error {
+func (s *Server) writeCheckpoint(dumps []*core.MonitorState) error {
 	s.ckptMu.Lock()
 	defer s.ckptMu.Unlock()
 	start := time.Now()
 
 	merged := mergeStates(dumps)
-	views := map[string]*CaseView{}
-	for _, d := range dumps {
-		for id, v := range d.views {
-			views[id] = v
-		}
-	}
 	_, qtotal := s.quar.stats()
 	recs := s.quar.snapshot()
 	file := checkpointFile{
 		SavedUnix:       time.Now().Unix(),
 		Monitor:         merged,
-		Views:           views,
 		QuarantineTotal: qtotal,
 		Quarantine:      recs,
 	}
@@ -223,7 +200,7 @@ func (s *Server) writeCheckpoint(dumps []shardDump) error {
 	// this fsync a power loss could bring back the previous checkpoint
 	// after checkpointRunning has already truncated the WAL records
 	// that followed it.
-	if err := syncDir(dir); err != nil {
+	if err := wal.SyncDir(dir); err != nil {
 		return fmt.Errorf("server: publishing checkpoint: %w", err)
 	}
 	if file.Ledger != nil {
@@ -243,15 +220,12 @@ func (s *Server) writeCheckpoint(dumps []shardDump) error {
 
 // mergeStates folds per-shard monitor states into one, re-indexing
 // each shard's state table into a shared one.
-func mergeStates(dumps []shardDump) *core.MonitorState {
+func mergeStates(dumps []*core.MonitorState) *core.MonitorState {
 	merged := &core.MonitorState{Version: 2, Cases: map[string]core.CaseSnapshot{}}
 	index := map[string]int{}
 	for _, d := range dumps {
-		if d.state == nil {
-			continue
-		}
-		remap := make([]int, len(d.state.States))
-		for i, term := range d.state.States {
+		remap := make([]int, len(d.States))
+		for i, term := range d.States {
 			ref, ok := index[term]
 			if !ok {
 				ref = len(merged.States)
@@ -260,7 +234,7 @@ func mergeStates(dumps []shardDump) *core.MonitorState {
 			}
 			remap[i] = ref
 		}
-		for id, cs := range d.state.Cases {
+		for id, cs := range d.Cases {
 			configs := make([]core.ConfigSnapshot, len(cs.Configs))
 			for i, cfg := range cs.Configs {
 				configs[i] = core.ConfigSnapshot{StateRef: remap[cfg.StateRef], Active: cfg.Active}
@@ -270,20 +244,6 @@ func mergeStates(dumps []shardDump) *core.MonitorState {
 		}
 	}
 	return merged
-}
-
-// syncDir fsyncs a directory, making the entries renamed into it
-// durable.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	err = d.Sync()
-	if cerr := d.Close(); err == nil {
-		err = cerr
-	}
-	return err
 }
 
 // readCheckpointFile reads and decodes the checkpoint file. A missing
@@ -313,40 +273,36 @@ func (s *Server) restore() error {
 	if s.cfg.CheckpointPath == "" {
 		return nil
 	}
-	fp, err := s.readCheckpointFile()
-	if err != nil {
+	file, err := s.readCheckpointFile()
+	if err != nil || file == nil {
 		return err
 	}
-	if fp == nil {
-		return nil
-	}
-	file := *fp
-	if file.Monitor != nil {
-		// Split cases by hash; every per-shard state shares the full
-		// term table, so no re-indexing is needed.
-		parts := make([]*core.MonitorState, len(s.shards))
-		for id, cs := range file.Monitor.Cases {
-			i := core.ShardCase(id, len(s.shards))
-			if parts[i] == nil {
-				parts[i] = &core.MonitorState{
-					Version: file.Monitor.Version,
-					States:  file.Monitor.States,
-					Cases:   map[string]core.CaseSnapshot{},
-				}
-			}
-			parts[i].Cases[id] = cs
-		}
-		for i, part := range parts {
-			if part == nil {
-				continue
-			}
-			if err := s.shards[i].mon.LoadState(part); err != nil {
-				return fmt.Errorf("server: restoring shard %d: %w", i, err)
+	// Split cases by hash; every per-shard state shares the full term
+	// table, so no re-indexing is needed.
+	parts := make([]*core.MonitorState, len(s.shards))
+	for id, cs := range file.Monitor.Cases {
+		i := core.ShardCase(id, len(s.shards))
+		if parts[i] == nil {
+			parts[i] = &core.MonitorState{
+				Version: file.Monitor.Version,
+				States:  file.Monitor.States,
+				Cases:   map[string]core.CaseSnapshot{},
 			}
 		}
+		parts[i].Cases[id] = cs
 	}
-	for id, v := range file.Views {
-		s.shardFor(id).loadViews(map[string]*CaseView{id: v})
+	for i, part := range parts {
+		if part == nil {
+			continue
+		}
+		// Locked: handlers may already be reading.
+		sh := s.shards[i]
+		sh.mu.Lock()
+		err := sh.mon.LoadState(part)
+		sh.mu.Unlock()
+		if err != nil {
+			return fmt.Errorf("server: restoring shard %d: %w", i, err)
+		}
 	}
 	s.quar.load(file.QuarantineTotal, file.Quarantine)
 	if s.ledger != nil && file.Ledger != nil {
@@ -360,7 +316,7 @@ func (s *Server) restore() error {
 	}
 	s.metrics.lastSnapshotNano.Store(time.Unix(file.SavedUnix, 0).UnixNano())
 	s.log.Info("checkpoint restored", "path", s.cfg.CheckpointPath,
-		"cases", len(file.Views), "saved", time.Unix(file.SavedUnix, 0).Format(time.RFC3339))
+		"cases", len(file.Monitor.Cases), "saved", time.Unix(file.SavedUnix, 0).Format(time.RFC3339))
 	return nil
 }
 
@@ -368,19 +324,21 @@ func (s *Server) restore() error {
 // binary container from internal/encode (DESIGN.md §13). The monitor's
 // canonical COWS terms — long, punctuation-heavy strings — ride as a
 // raw string-table section; only the small, irregular remainder (case
-// metadata, views, quarantine, ledger) is JSON.
+// records, quarantine, ledger) is JSON.
 
 // checkpointVersion is the checkpoint format version carried in the
 // container's meta section. Version 1 was the JSON file older auditd
-// versions wrote; it is no longer read.
-const checkpointVersion = 2
+// versions wrote; it is no longer read. Version 2 also carried a views
+// section beside the cases; it is still read (foldViewsV2), since a
+// version-2 checkpoint has had its WAL truncated behind it.
+const checkpointVersion = 3
 
 // Checkpoint section ids.
 const (
 	secCkptMeta       = uint32(1) // JSON: version, timestamp, totals
 	secCkptTerms      = uint32(2) // string table: monitor state terms
 	secCkptCases      = uint32(3) // JSON: case snapshots (StateRef into terms)
-	secCkptViews      = uint32(4) // JSON: case views
+	secCkptViewsV2    = uint32(4) // JSON: case views (version 2 only)
 	secCkptQuarantine = uint32(5) // JSON: held quarantine records
 	secCkptLedger     = uint32(6) // JSON: sealed ledger batches (absent without a ledger)
 )
@@ -399,26 +357,16 @@ func encodeCheckpoint(w io.Writer, file *checkpointFile) error {
 	meta := binCkptMeta{
 		Version:         checkpointVersion,
 		SavedUnix:       file.SavedUnix,
+		MonitorVersion:  file.Monitor.Version,
 		QuarantineTotal: file.QuarantineTotal,
-	}
-	var terms []string
-	var cases map[string]core.CaseSnapshot
-	if file.Monitor != nil {
-		meta.MonitorVersion = file.Monitor.Version
-		terms = file.Monitor.States
-		cases = file.Monitor.Cases
 	}
 	metaJSON, err := json.Marshal(&meta)
 	if err != nil {
 		return fmt.Errorf("server: encoding checkpoint meta: %w", err)
 	}
-	casesJSON, err := json.Marshal(cases)
+	casesJSON, err := json.Marshal(file.Monitor.Cases)
 	if err != nil {
 		return fmt.Errorf("server: encoding checkpoint cases: %w", err)
-	}
-	viewsJSON, err := json.Marshal(file.Views)
-	if err != nil {
-		return fmt.Errorf("server: encoding checkpoint views: %w", err)
 	}
 	quarJSON, err := json.Marshal(file.Quarantine)
 	if err != nil {
@@ -426,9 +374,8 @@ func encodeCheckpoint(w io.Writer, file *checkpointFile) error {
 	}
 	sections := []encode.Section{
 		{ID: secCkptMeta, Data: metaJSON},
-		{ID: secCkptTerms, Data: encode.StringTableSection(terms)},
+		{ID: secCkptTerms, Data: encode.StringTableSection(file.Monitor.States)},
 		{ID: secCkptCases, Data: casesJSON},
-		{ID: secCkptViews, Data: viewsJSON},
 		{ID: secCkptQuarantine, Data: quarJSON},
 	}
 	if file.Ledger != nil {
@@ -455,33 +402,29 @@ func decodeCheckpoint(data []byte) (*checkpointFile, error) {
 	if err := json.Unmarshal(secs[secCkptMeta], &meta); err != nil {
 		return nil, fmt.Errorf("server: checkpoint meta section: %w", err)
 	}
-	if meta.Version != checkpointVersion {
+	if meta.Version != 2 && meta.Version != checkpointVersion {
 		return nil, fmt.Errorf("server: unsupported checkpoint version %d", meta.Version)
 	}
 	terms, err := encode.ReadStringTableSection(secs[secCkptTerms])
 	if err != nil {
 		return nil, fmt.Errorf("server: checkpoint terms section: %w", err)
 	}
-	file := &checkpointFile{
-		SavedUnix:       meta.SavedUnix,
-		QuarantineTotal: meta.QuarantineTotal,
-	}
 	var cases map[string]core.CaseSnapshot
 	if err := json.Unmarshal(secs[secCkptCases], &cases); err != nil {
 		return nil, fmt.Errorf("server: checkpoint cases section: %w", err)
 	}
-	if cases != nil || len(terms) > 0 {
-		mv := meta.MonitorVersion
-		if mv == 0 {
-			mv = 2
-		}
-		if cases == nil {
-			cases = map[string]core.CaseSnapshot{}
-		}
-		file.Monitor = &core.MonitorState{Version: mv, States: terms, Cases: cases}
+	if cases == nil {
+		cases = map[string]core.CaseSnapshot{}
 	}
-	if err := json.Unmarshal(secs[secCkptViews], &file.Views); err != nil {
-		return nil, fmt.Errorf("server: checkpoint views section: %w", err)
+	if meta.Version == 2 {
+		if err := foldViewsV2(secs[secCkptViewsV2], cases); err != nil {
+			return nil, err
+		}
+	}
+	file := &checkpointFile{
+		SavedUnix:       meta.SavedUnix,
+		Monitor:         &core.MonitorState{Version: meta.MonitorVersion, States: terms, Cases: cases},
+		QuarantineTotal: meta.QuarantineTotal,
 	}
 	if err := json.Unmarshal(secs[secCkptQuarantine], &file.Quarantine); err != nil {
 		return nil, fmt.Errorf("server: checkpoint quarantine section: %w", err)
@@ -492,4 +435,24 @@ func decodeCheckpoint(data []byte) (*checkpointFile, error) {
 		}
 	}
 	return file, nil
+}
+
+// foldViewsV2 folds a version-2 views section into the case snapshots:
+// each view's WAL LSN, update time and violation join its case, and a
+// view with no case — a case bound to no purpose — becomes a dead case
+// with no purpose.
+func foldViewsV2(data []byte, cases map[string]core.CaseSnapshot) error {
+	var views map[string]CaseView
+	if err := json.Unmarshal(data, &views); err != nil {
+		return fmt.Errorf("server: checkpoint views section: %w", err)
+	}
+	for id, v := range views {
+		cs, ok := cases[id]
+		if !ok {
+			cs = core.CaseSnapshot{Entries: v.Entries, Dead: true, Explanation: v.Explanation}
+		}
+		cs.Violation, cs.Updated, cs.Seq = v.Violation, v.Updated, v.WalLSN
+		cases[id] = cs
+	}
+	return nil
 }

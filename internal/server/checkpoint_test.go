@@ -3,7 +3,9 @@ package server
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -13,6 +15,7 @@ import (
 
 	"repro/internal/audit"
 	"repro/internal/encode"
+	"repro/internal/wal"
 )
 
 // TestBinaryCheckpointRoundTrip writes a checkpoint that holds a
@@ -198,4 +201,112 @@ func walSegments(t *testing.T, dir string) []string {
 		t.Fatal(err)
 	}
 	return segs
+}
+
+// TestRestoresV2Checkpoint boots over a version-2 checkpoint and the
+// WAL it was cut from, both written by the previous auditd release
+// (testdata/ckpt-v2: half the Figure 4 trail plus two unknown-purpose
+// entries before the checkpoint, the rest after it, then a crash). Its
+// views section folds into the case records: /v1/roots must match the
+// release's own reboot byte for byte, and /v1/cases field for field.
+// Entry counts prove that WAL records at or below each case's
+// checkpointed LSN were skipped, not fed twice. The one difference is
+// a fix: that release reported a dead case's pre-violation
+// configuration count, where a dead case now reports none.
+func TestRestoresV2Checkpoint(t *testing.T) {
+	sc := hospitalScenario(t)
+	dir := t.TempDir()
+	src := filepath.Join("testdata", "ckpt-v2")
+	cfg := Config{
+		Shards: 2, WALDir: filepath.Join(dir, "wal"), WALFsync: wal.FsyncAlways,
+		CheckpointPath: filepath.Join(dir, "state.ckpt"), CheckpointEvery: time.Hour,
+		LedgerKey: ledgerTestKey(), LedgerBatch: 4,
+	}
+	if err := os.Mkdir(cfg.WALDir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	for from, to := range map[string]string{
+		"state.ckpt":               cfg.CheckpointPath,
+		"wal/0000000000000001.wal": filepath.Join(cfg.WALDir, "0000000000000001.wal"),
+	} {
+		b, err := os.ReadFile(filepath.Join(src, from))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(to, b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	c := hospitalChecker(sc)
+	c.UseCompiled = true
+	for _, p := range sc.Registry.Purposes() {
+		if _, err := c.EnsureCompiled(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	srv := New(sc.Registry, c, cfg)
+	if err := srv.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Crash()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	wantRoots, err := os.ReadFile(filepath.Join(src, "roots.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, got := getBody(t, ts.URL+"/v1/roots"); got != string(wantRoots) {
+		t.Errorf("/v1/roots differs from the previous release's reboot:\n got %s\nwant %s", got, wantRoots)
+	}
+
+	type rows struct {
+		Cases []map[string]any `json:"cases"`
+		Total int              `json:"total"`
+	}
+	var want, got rows
+	b, err := os.ReadFile(filepath.Join(src, "cases.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(b, &want); err != nil {
+		t.Fatal(err)
+	}
+	for _, row := range want.Cases {
+		if row["outcome"] != outcomeCompliant {
+			delete(row, "configurations")
+		}
+	}
+	_, body := getBody(t, ts.URL+"/v1/cases")
+	if err := json.Unmarshal([]byte(body), &got); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("/v1/cases after restoring the v2 checkpoint:\n got %s\nwant %s", body, b)
+	}
+
+	// The next checkpoint is written in the current format: the case
+	// records carry everything, and there is no views section.
+	if err := srv.checkpointRunning(); err != nil {
+		t.Fatal(err)
+	}
+	img, err := os.ReadFile(cfg.CheckpointPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	secs, err := encode.ReadContainer(img, encode.KindCheckpoint)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := secs[secCkptViewsV2]; ok {
+		t.Error("checkpoint still has a views section")
+	}
+	file, err := decodeCheckpoint(img)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if zz := file.Monitor.Cases["ZZ-1"]; zz.Purpose != "" || !zz.Dead || zz.Seq == 0 || zz.Violation == "" {
+		t.Errorf("unknown-purpose case record = %+v", zz)
+	}
 }

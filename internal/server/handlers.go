@@ -345,7 +345,11 @@ func (s *Server) handleCases(w http.ResponseWriter, r *http.Request) {
 	}
 	var views []CaseView
 	for _, sh := range s.shards {
-		views = sh.collectViews(views, accept)
+		sh.eachCase(func(r core.CaseStatus) {
+			if v := newCaseView(sh.id, r); accept(&v) {
+				views = append(views, v)
+			}
+		})
 	}
 	sort.Slice(views, func(i, j int) bool { return views[i].Case < views[j].Case })
 	writeJSON(w, http.StatusOK, struct {
@@ -421,12 +425,8 @@ type purposeInfo struct {
 
 func (s *Server) handlePurposes(w http.ResponseWriter, r *http.Request) {
 	perPurpose := map[string]int{}
-	var all []CaseView
 	for _, sh := range s.shards {
-		all = sh.collectViews(all, nil)
-	}
-	for _, v := range all {
-		perPurpose[v.Purpose]++
+		sh.eachCase(func(r core.CaseStatus) { perPurpose[r.Purpose]++ })
 	}
 	var out []purposeInfo
 	for _, name := range s.reg.Purposes() {

@@ -39,7 +39,6 @@ type metrics struct {
 	feedCompiled    atomic.Int64
 	feedInterpreted atomic.Int64
 
-	feedLatency      histogram
 	snapshotDuration histogram
 	snapshots        atomic.Int64
 	snapshotErrors   atomic.Int64
@@ -66,10 +65,6 @@ type metrics struct {
 
 func newMetrics() *metrics {
 	m := &metrics{}
-	// Feed of one entry on a warm checker is sub-millisecond; cold LTS
-	// derivation can take much longer, hence the wide tail.
-	m.feedLatency.bounds = []float64{25e-6, 50e-6, 100e-6, 250e-6, 500e-6, 1e-3, 5e-3, 25e-3, 100e-3, 1}
-	m.feedLatency.counts = make([]atomic.Int64, len(m.feedLatency.bounds)+1)
 	m.snapshotDuration.bounds = []float64{1e-3, 5e-3, 25e-3, 100e-3, 500e-3, 2, 10}
 	m.snapshotDuration.counts = make([]atomic.Int64, len(m.snapshotDuration.bounds)+1)
 	// Sealing a batch is hashing + one ed25519 signature: tens of
@@ -336,7 +331,6 @@ func (s *Server) writeMetrics(w io.Writer) {
 	gauge(w, "auditd_shards_failed", "Shards whose restart budget is exhausted.", float64(m.shardsFailed.Load()))
 	counter(w, "auditd_entries_dropped_total", "Accepted entries dropped by shard panics or failed shards (recoverable from the WAL).", m.entriesDropped.Load())
 
-	m.feedLatency.write(w, "auditd_feed_latency_seconds")
 	m.snapshotDuration.write(w, "auditd_snapshot_duration_seconds")
 	counter(w, "auditd_snapshots_total", "Checkpoint snapshots written.", m.snapshots.Load())
 	counter(w, "auditd_snapshot_errors_total", "Checkpoint snapshots that failed.", m.snapshotErrors.Load())

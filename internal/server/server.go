@@ -238,7 +238,7 @@ func New(reg *core.Registry, checker *core.Checker, cfg Config) *Server {
 	s.limQuar = obs.NewLogLimiter(warnBurst, warnPerSec)
 	s.limWAL = obs.NewLogLimiter(warnBurst, warnPerSec)
 	for i := 0; i < cfg.Shards; i++ {
-		sh := newShard(i, checker, cfg.QueueDepth, s.metrics, s.log, reg.PurposeOf, s.tracer)
+		sh := newShard(i, checker, cfg.QueueDepth, s.metrics, s.log, s.tracer)
 		// Telemetry wiring happens here rather than in newShard so the
 		// constructor's signature stays stable for tests; all of it is
 		// set before Start launches the workers.
@@ -291,7 +291,7 @@ func (s *Server) shardFor(caseID string) *shard {
 func (s *Server) caseCount() int {
 	n := 0
 	for _, sh := range s.shards {
-		n += sh.viewCount()
+		n += sh.caseCount()
 	}
 	return n
 }

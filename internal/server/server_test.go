@@ -188,6 +188,30 @@ func TestConcurrentShardedIngest(t *testing.T) {
 	sc := hospitalScenario(t)
 	srv, ts := startServer(t, sc, Config{Shards: 8, QueueDepth: 4096})
 
+	// A reader polls the case records while the shards feed them.
+	stop := make(chan struct{})
+	var reader sync.WaitGroup
+	reader.Add(1)
+	go func() {
+		defer reader.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			for _, path := range []string{"/v1/cases", "/v1/cases/HT-1", "/v1/cases/HT-10/explain", "/v1/purposes", "/v1/status", "/metrics"} {
+				resp, err := http.Get(ts.URL + path)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				io.Copy(io.Discard, resp.Body)
+				resp.Body.Close()
+			}
+		}
+	}()
+
 	var wg sync.WaitGroup
 	for _, caseID := range sc.Trail.Cases() {
 		sub := sc.Trail.ByCase(caseID)
@@ -224,6 +248,8 @@ func TestConcurrentShardedIngest(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+	close(stop)
+	reader.Wait()
 	srv.Flush()
 
 	assertOutcomes(t, getCases(t, ts.URL+"/v1/cases"), expectedOutcomes(t, sc, sc.Trail))
@@ -420,8 +446,6 @@ func TestMetricsAndHealth(t *testing.T) {
 		"auditd_verdicts_total{outcome=\"compliant\"}",
 		"auditd_shard_queue_depth{shard=\"0\"}",
 		"auditd_shard_queue_depth{shard=\"1\"}",
-		"auditd_feed_latency_seconds_bucket",
-		"auditd_feed_latency_seconds_count",
 		"auditd_cases 8",
 	} {
 		if !strings.Contains(body, series) {
@@ -448,5 +472,45 @@ func TestMetricsAndHealth(t *testing.T) {
 	}
 	if resp.Header.Get("Retry-After") == "" {
 		t.Error("drain 503 without Retry-After")
+	}
+}
+
+// TestCaseRowsFromMonitorRecord pins the two fields GET /v1/cases
+// derives from the monitor's case record: a case whose code is bound
+// to no purpose counts its entries, and a dead case reports no live
+// configurations — including right after the violating entry.
+func TestCaseRowsFromMonitorRecord(t *testing.T) {
+	sc := hospitalScenario(t)
+	_, ts := startServer(t, sc, Config{Shards: 2})
+
+	entries := sc.Trail.Entries()
+	for i := 0; i < 2; i++ {
+		e := entries[0]
+		e.Case = "ZZ-1"
+		e.Time = e.Time.Add(time.Duration(i) * time.Minute)
+		entries = append(entries, e)
+	}
+	if resp, _ := post(t, ts.URL+"/v1/events?wait=1", "application/x-ndjson", ndjson(t, audit.NewTrail(entries))); resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("ingest: %s", resp.Status)
+	}
+	dead := 0
+	for _, v := range getCases(t, ts.URL+"/v1/cases").Cases {
+		if v.Outcome != outcomeCompliant {
+			dead++
+			if v.Configurations != 0 {
+				t.Errorf("case %s (%s): configurations = %d, want 0 once dead", v.Case, v.Outcome, v.Configurations)
+			}
+		}
+		if v.Case == "ZZ-1" && (v.Entries != 2 || v.Outcome != outcomeViolation || v.Purpose != "") {
+			t.Errorf("ZZ-1 = %d entries, outcome %s, purpose %q; want 2 entries, violation, no purpose", v.Entries, v.Outcome, v.Purpose)
+		}
+	}
+	if dead != 6 {
+		t.Errorf("%d dead cases, want the 5 infringements plus ZZ-1", dead)
+	}
+	_, body := getBody(t, ts.URL+"/v1/cases/ZZ-1")
+	var one CaseView
+	if err := json.Unmarshal([]byte(body), &one); err != nil || one.Entries != 2 {
+		t.Errorf("GET /v1/cases/ZZ-1 = %s (%v)", body, err)
 	}
 }

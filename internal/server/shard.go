@@ -15,11 +15,11 @@ import (
 )
 
 // A shard owns one core.Monitor (over a Checker.Clone sharing the warm
-// per-purpose runtime) and consumes its queue on a single goroutine, so
-// the monitor is never touched concurrently. Cases are routed to shards
-// by core.ShardCase, which together with FIFO queues preserves the
-// monitor sharding contract: verdicts are identical to a single monitor
-// consuming the whole trail.
+// per-purpose runtime) and consumes its queue on a single goroutine, the
+// monitor's only writer; HTTP handlers read it under mu. Cases are
+// routed to shards by core.ShardCase, which together with FIFO queues
+// preserves the monitor sharding contract: verdicts are identical to a
+// single monitor consuming the whole trail.
 //
 // Control traffic (barriers, snapshot requests) travels through the
 // same queue as entries, so a snapshot is a consistent point-in-time
@@ -77,6 +77,10 @@ type shard struct {
 	// (walSafeLSN) to keep those records replayable at next boot.
 	lastFedLSN atomic.Uint64
 
+	// mu guards mon: the worker holds it across one entry's feed and
+	// its bookkeeping (never across a batch); HTTP handlers read the
+	// case records under RLock.
+	mu      sync.RWMutex
 	mon     *core.Monitor
 	metrics *metrics
 	log     *slog.Logger
@@ -84,9 +88,6 @@ type shard struct {
 	// ingest carried W3C trace context (see feed), so untraced bulk
 	// loads cost nothing and the ring isn't flooded.
 	tracer *obs.Tracer
-	// purposeOf resolves a case id to its purpose name (registry
-	// lookup), for the view's Purpose field.
-	purposeOf func(string) string
 
 	// Operational telemetry, wired by the server after construction
 	// (before Start). flight records coarse per-batch pipeline events;
@@ -103,11 +104,6 @@ type shard struct {
 	// +1 creep.
 	highWater  atomic.Int64
 	hwRecorded atomic.Int64
-
-	// views is the queryable verdict state, written only by the shard
-	// worker, read by HTTP handlers.
-	mu    sync.RWMutex
-	views map[string]*CaseView
 }
 
 // shardMsg is one unit of shard queue traffic: exactly one of batch,
@@ -118,7 +114,7 @@ type shardMsg struct {
 	batch *[]audit.Entry
 	// firstLSN is the WAL LSN of the batch's first entry (consecutive
 	// from there); 0 when the server runs without a WAL. The feed
-	// stamps each case view with its last applied LSN, which is what
+	// records each case's last applied LSN in the monitor, which is what
 	// boot replay uses to skip records the checkpoint already covers.
 	firstLSN uint64
 	// sc is the ingest span's context when the submitting request
@@ -132,22 +128,15 @@ type shardMsg struct {
 	// barrier is closed by the worker when it reaches the message —
 	// everything enqueued before it has then been fed.
 	barrier chan<- struct{}
-	// snap receives the shard's consistent state cut.
-	snap chan<- shardDump
+	// snap receives the shard's consistent state cut: nil when the dump
+	// panicked, so the requester got an answer (the checkpoint loop never
+	// wedges) but must discard the whole round — persisting a cut
+	// missing this shard's cases would lose them.
+	snap chan<- *core.MonitorState
 }
 
-// shardDump is one shard's contribution to a checkpoint. incomplete
-// marks a reply whose dump panicked: the requester got an answer (so
-// the checkpoint loop never wedges) but must discard the whole round —
-// persisting a cut missing this shard's cases would lose them.
-type shardDump struct {
-	state      *core.MonitorState
-	views      map[string]*CaseView
-	incomplete bool
-}
-
-// CaseView is the queryable verdict state of one case, exposed at
-// GET /v1/cases. Outcome is "compliant" (so far), "violation" or
+// CaseView is the JSON rendering of one case's monitor record, exposed
+// at GET /v1/cases. Outcome is "compliant" (so far), "violation" or
 // "indeterminate"; a dead case's first verdict is sticky, matching the
 // monitor's semantics.
 type CaseView struct {
@@ -165,10 +154,9 @@ type CaseView struct {
 	// "interpreted").
 	Engine string `json:"engine,omitempty"`
 	// Explanation is the structured account of the first deviation
-	// (GET /v1/cases/{id}/explain); nil while compliant. Sticky like
-	// Outcome, and persisted in checkpoints.
+	// (GET /v1/cases/{id}/explain); nil while compliant.
 	Explanation *core.Explanation `json:"explanation,omitempty"`
-	// Updated is the log time of the entry that last changed this view.
+	// Updated is the log time of the case's last fed entry.
 	Updated time.Time `json:"updated"`
 	Shard   int       `json:"shard"`
 	// WalLSN is the write-ahead-log sequence number of the case's last
@@ -178,24 +166,38 @@ type CaseView struct {
 	WalLSN uint64 `json:"wal_lsn,omitempty"`
 }
 
+// newCaseView renders one monitor record.
+func newCaseView(shard int, r core.CaseStatus) CaseView {
+	v := CaseView{
+		Case: r.Case, Purpose: r.Purpose, Entries: r.Entries, Outcome: outcomeCompliant,
+		Configurations: r.Configurations, Engine: r.Engine, Explanation: r.Explanation,
+		Updated: r.Updated, Shard: shard, WalLSN: r.Seq,
+	}
+	switch {
+	case r.Indeterminate != nil:
+		v.Outcome, v.Indeterminate = outcomeIndeterminate, r.Indeterminate.String()
+	case r.Deviated:
+		v.Outcome, v.Violation = outcomeViolation, r.Violation
+	}
+	return v
+}
+
 const (
 	outcomeCompliant     = "compliant"
 	outcomeViolation     = "violation"
 	outcomeIndeterminate = "indeterminate"
 )
 
-func newShard(id int, checker *core.Checker, depth int, m *metrics, log *slog.Logger, purposeOf func(string) string, tracer *obs.Tracer) *shard {
+func newShard(id int, checker *core.Checker, depth int, m *metrics, log *slog.Logger, tracer *obs.Tracer) *shard {
 	sh := &shard{
-		id:        id,
-		queue:     make(chan shardMsg, depth),
-		done:      make(chan struct{}),
-		depth:     int64(depth),
-		mon:       core.NewMonitor(checker.Clone()),
-		metrics:   m,
-		log:       log,
-		purposeOf: purposeOf,
-		tracer:    tracer,
-		views:     map[string]*CaseView{},
+		id:      id,
+		queue:   make(chan shardMsg, depth),
+		done:    make(chan struct{}),
+		depth:   int64(depth),
+		mon:     core.NewMonitor(checker.Clone()),
+		metrics: m,
+		log:     log,
+		tracer:  tracer,
 	}
 	sh.credits.Store(sh.depth)
 	return sh
@@ -212,7 +214,7 @@ func (sh *shard) pendingEntries() int64 { return sh.depth - sh.credits.Load() }
 // are refused with backpressure, and a drainer keeps consuming the
 // queue (returning credits, honoring barriers, serving frozen
 // snapshots) so nothing blocking on this shard ever wedges. Only this
-// goroutine touches sh.mon after Start.
+// goroutine writes sh.mon after Start.
 func (sh *shard) run(restartLimit int) {
 	defer close(sh.done)
 	for {
@@ -295,15 +297,15 @@ func (sh *shard) runOnce() (clean bool) {
 
 // serveSnap replies to a snapshot request with a guaranteed answer: if
 // dump panics (a monitor corrupted by the very fault supervision exists
-// for), the deferred send delivers an incomplete dump before the panic
+// for), the deferred send delivers a nil dump before the panic
 // unwinds into the supervisor — checkpointRunning must never block
 // forever on a reply that isn't coming. The reply channel is buffered
 // (requestDump), so neither send can block.
-func (sh *shard) serveSnap(ch chan<- shardDump) {
+func (sh *shard) serveSnap(ch chan<- *core.MonitorState) {
 	sent := false
 	defer func() {
 		if !sent {
-			ch <- shardDump{incomplete: true}
+			ch <- nil
 		}
 	}()
 	d := sh.dump()
@@ -398,8 +400,8 @@ func (sh *shard) drainFailed() {
 // drainSnap serves a snapshot from the drainer, recovering a dump
 // panic: the terminal loop has no supervisor above it, and an escaped
 // panic here would take down the whole process. The requester still
-// gets serveSnap's incomplete reply.
-func (sh *shard) drainSnap(ch chan<- shardDump) {
+// gets serveSnap's nil reply.
+func (sh *shard) drainSnap(ch chan<- *core.MonitorState) {
 	defer func() {
 		if r := recover(); r != nil {
 			sh.log.Error("failed shard's dump panicked",
@@ -487,34 +489,30 @@ func (sh *shard) barrier() <-chan struct{} {
 }
 
 // requestDump asks the running worker for a consistent cut.
-func (sh *shard) requestDump() <-chan shardDump {
-	ch := make(chan shardDump, 1)
+func (sh *shard) requestDump() <-chan *core.MonitorState {
+	ch := make(chan *core.MonitorState, 1)
 	sh.queue <- shardMsg{snap: ch}
 	return ch
 }
 
-// dump exports monitor state and a copy of the views. Called either by
-// the worker goroutine (running) or after the worker exited (final
-// checkpoint).
-func (sh *shard) dump() shardDump {
+// dump exports the monitor state. Called either by the worker
+// goroutine (running) or after the worker exited (final checkpoint).
+func (sh *shard) dump() *core.MonitorState {
 	if sh.snapHook != nil {
 		sh.snapHook()
 	}
 	sh.mu.RLock()
-	views := make(map[string]*CaseView, len(sh.views))
-	for id, v := range sh.views {
-		c := *v
-		views[id] = &c
-	}
-	sh.mu.RUnlock()
-	return shardDump{state: sh.mon.State(), views: views}
+	defer sh.mu.RUnlock()
+	return sh.mon.State()
 }
 
 // feed advances one case by one entry and folds the verdict into the
-// case view and the metrics. lsn is the entry's WAL record number (0
-// without a WAL), stamped into the view for boot replay. When the
+// metrics. lsn is the entry's WAL record number (0 without a WAL),
+// recorded in the case's monitor record for boot replay. When the
 // entry's ingest carried trace context, the feed is recorded as a
-// child span in the caller's trace.
+// child span in the caller's trace. The monitor lock is held for this
+// one entry and released by defer, so a feed that panics never leaves
+// the supervisor a poisoned mutex.
 func (sh *shard) feed(e audit.Entry, sc obs.SpanContext, lsn uint64) {
 	if sh.panicHook != nil {
 		sh.panicHook(&e)
@@ -526,9 +524,10 @@ func (sh *shard) feed(e audit.Entry, sc obs.SpanContext, lsn uint64) {
 		span.SetAttr("case", e.Case)
 		span.SetAttr("task", e.Task)
 	}
-	start := time.Now()
-	v, err := sh.mon.Feed(e)
-	sh.metrics.feedLatency.observe(time.Since(start))
+	defer span.End()
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	v, err := sh.mon.FeedSeq(e, lsn)
 	if lsn > 0 {
 		// Stored only after Feed returns: an entry that panics mid-feed
 		// stays ABOVE the truncation clamp (walSafeLSN), so the WAL
@@ -537,75 +536,36 @@ func (sh *shard) feed(e audit.Entry, sc obs.SpanContext, lsn uint64) {
 		sh.lastFedLSN.Store(lsn)
 	}
 	if err != nil {
-		// Genuine engine error (not a verdict): count it, log it, and
-		// leave the case view untouched — the entry is lost, which the
-		// feed-errors counter makes visible.
+		// Genuine engine error (not a verdict): count it and log it —
+		// the entry is lost, which the feed-errors counter makes visible.
 		sh.metrics.feedErrors.Add(1)
 		sh.log.Error("feed failed", "shard", sh.id, "case", e.Case, "err", err,
 			"trace_id", traceField(sc))
 		span.SetAttr("error", err.Error())
-		span.End()
 		return
 	}
 	sh.metrics.countEngine(v.Engine)
-	outcome := sh.applyVerdict(&e, v, sc, lsn)
-
-	if span != nil {
-		span.SetAttr("outcome", outcome)
-		span.End()
-	}
-}
-
-// applyVerdict folds one verdict into the case view under the view
-// lock. It is its own function so the lock is released by defer even
-// if something under it panics — the supervisor must never inherit a
-// poisoned mutex.
-func (sh *shard) applyVerdict(e *audit.Entry, v *core.Verdict, sc obs.SpanContext, lsn uint64) string {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	view, ok := sh.views[e.Case]
-	if !ok {
-		view = &CaseView{
-			Case: e.Case, Shard: sh.id, Outcome: outcomeCompliant,
-			Purpose: sh.purposeOf(e.Case),
-		}
-		sh.views[e.Case] = view
-	}
-	view.Entries = v.CaseEntries
-	view.Updated = e.Time
-	view.Configurations = v.Configurations
-	if lsn > 0 {
-		view.WalLSN = lsn
-	}
-	if v.Engine != "" {
-		view.Engine = v.Engine
-	}
+	outcome := outcomeCompliant
 	switch {
 	case v.OK:
 		sh.metrics.verdictsOK.Add(1)
-		sh.metrics.countPurposeVerdict(view.Purpose, outcomeCompliant)
 	case v.Indeterminate != nil:
+		outcome = outcomeIndeterminate
 		sh.metrics.verdictsIndeterminate.Add(1)
-		sh.metrics.countPurposeVerdict(view.Purpose, outcomeIndeterminate)
-		if view.Outcome == outcomeCompliant {
-			view.Outcome = outcomeIndeterminate
-			view.Indeterminate = v.Indeterminate.String()
-			view.Explanation = v.Explanation
+		if v.FirstDeviation {
 			sh.warnDeviation("case indeterminate", e.Case, "cause", v.Indeterminate.Cause.String(), sc)
-			sh.noteTransition(view, v.Indeterminate.Cause.String())
+			sh.noteTransition(v, outcome, v.Indeterminate.Cause.String())
 		}
 	case v.Violation != nil:
+		outcome = outcomeViolation
 		sh.metrics.verdictsViolation.Add(1)
-		sh.metrics.countPurposeVerdict(view.Purpose, outcomeViolation)
-		if view.Outcome == outcomeCompliant {
-			view.Outcome = outcomeViolation
-			view.Violation = v.Violation.String()
-			view.Explanation = v.Explanation
+		if v.FirstDeviation {
 			sh.warnDeviation("case violated", e.Case, "reason", v.Violation.Reason, sc)
-			sh.noteTransition(view, v.Violation.Reason)
+			sh.noteTransition(v, outcome, v.Violation.Reason)
 		}
 	}
-	return view.Outcome
+	sh.metrics.countPurposeVerdict(v.Purpose, outcome)
+	span.SetAttr("outcome", outcome)
 }
 
 // warnDeviation logs a deviation warning through the token-bucket
@@ -626,14 +586,14 @@ func (sh *shard) warnDeviation(msg, caseID, k, v string, sc obs.SpanContext) {
 // noteTransition records a verdict transition in the flight ring and
 // fans it out to GET /v1/watch subscribers. Called under sh.mu, but
 // both sinks are non-blocking (ring write / channel try-send).
-func (sh *shard) noteTransition(view *CaseView, detail string) {
+func (sh *shard) noteTransition(v *core.Verdict, outcome, detail string) {
 	sh.flight.Record(sh.id, obs.FlightEvent{
-		Kind: obs.FlightVerdict, Case: view.Case,
-		Detail: view.Outcome + ": " + detail, N: view.Entries,
+		Kind: obs.FlightVerdict, Case: v.Case,
+		Detail: outcome + ": " + detail, N: v.CaseEntries,
 	})
 	sh.watch.publish(watchEvent{
-		Case: view.Case, Purpose: view.Purpose, Outcome: view.Outcome,
-		Entries: view.Entries, Shard: sh.id, Detail: detail, Time: time.Now(),
+		Case: v.Case, Purpose: v.Purpose, Outcome: outcome,
+		Entries: v.CaseEntries, Shard: sh.id, Detail: detail, Time: time.Now(),
 	})
 }
 
@@ -646,44 +606,24 @@ func traceField(sc obs.SpanContext) string {
 	return sc.TraceID.String()
 }
 
-// view returns a copy of one case's view.
+// view renders one case's record.
 func (sh *shard) view(caseID string) (CaseView, bool) {
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
-	v, ok := sh.views[caseID]
-	if !ok {
-		return CaseView{}, false
-	}
-	return *v, true
+	r, ok := sh.mon.Case(caseID)
+	return newCaseView(sh.id, r), ok
 }
 
-// viewCount returns the number of cases with live view state.
-func (sh *shard) viewCount() int {
+// caseCount returns the number of cases the monitor holds.
+func (sh *shard) caseCount() int {
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
-	return len(sh.views)
+	return sh.mon.Len()
 }
 
-// collectViews appends copies of views passing the filter.
-func (sh *shard) collectViews(dst []CaseView, accept func(*CaseView) bool) []CaseView {
+// eachCase calls fn with every case record under the read lock.
+func (sh *shard) eachCase(fn func(core.CaseStatus)) {
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
-	for _, v := range sh.views {
-		if accept == nil || accept(v) {
-			dst = append(dst, *v)
-		}
-	}
-	return dst
-}
-
-// loadViews seeds the view table from a checkpoint (before the worker
-// starts; no locking concerns, but take the lock for form).
-func (sh *shard) loadViews(views map[string]*CaseView) {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	for id, v := range views {
-		c := *v
-		c.Shard = sh.id
-		sh.views[id] = &c
-	}
+	sh.mon.EachCase(fn)
 }

@@ -122,7 +122,7 @@ func (s *Server) statusReply() statusReply {
 			Pending:    sh.pendingEntries(),
 			Depth:      sh.depth,
 			HighWater:  sh.highWater.Load(),
-			Cases:      sh.viewCount(),
+			Cases:      sh.caseCount(),
 			Restarts:   sh.restarts.Load(),
 			Failed:     sh.failed.Load(),
 			LastFedLSN: sh.lastFedLSN.Load(),

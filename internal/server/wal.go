@@ -75,16 +75,6 @@ func (s *Server) replayWAL() error {
 	if s.wal == nil {
 		return nil
 	}
-	skip := map[string]uint64{}
-	for _, sh := range s.shards {
-		sh.mu.RLock()
-		for id, v := range sh.views {
-			if v.WalLSN > 0 {
-				skip[id] = v.WalLSN
-			}
-		}
-		sh.mu.RUnlock()
-	}
 	start := time.Now()
 	replayed := 0
 	// The ledger rebuilds from the same pass: every record past its
@@ -103,10 +93,11 @@ func (s *Server) replayWAL() error {
 				return fmt.Errorf("rebuilding ledger: %w", err)
 			}
 		}
-		if lsn <= skip[e.Case] {
+		sh := s.shardFor(e.Case)
+		if v, ok := sh.view(e.Case); ok && lsn <= v.WalLSN {
 			return nil // already inside the restored checkpoint's cut
 		}
-		s.shardFor(e.Case).feed(e, obs.SpanContext{}, lsn)
+		sh.feed(e, obs.SpanContext{}, lsn)
 		replayed++
 		return nil
 	})

@@ -153,6 +153,10 @@ type Log struct {
 	// reads it right after Append — appends there are globally
 	// serialized — to split the fsync wait out of the stage timing.
 	syncWait time.Duration
+
+	// dirSyncHook, when set (tests only), runs after each directory
+	// fsync.
+	dirSyncHook func()
 }
 
 // Open opens (or creates) the log in dir, repairing a torn tail: the
@@ -391,10 +395,40 @@ func (l *Log) openSegmentLocked() error {
 		f.Close()
 		return fmt.Errorf("wal: writing segment header: %w", err)
 	}
+	// Fsyncing a record's file does not make the directory entry that
+	// names the file durable. Without this a power loss could drop the
+	// whole segment, fsync-acknowledged records included.
+	if err := l.syncDir(); err != nil {
+		f.Close()
+		return fmt.Errorf("wal: syncing directory for new segment: %w", err)
+	}
 	l.f = f
 	l.active = segment{base: l.nextLSN, path: path}
 	l.written = segHeaderSize
 	return nil
+}
+
+// syncDir fsyncs the log directory.
+func (l *Log) syncDir() error {
+	err := SyncDir(l.dir)
+	if err == nil && l.dirSyncHook != nil {
+		l.dirSyncHook()
+	}
+	return err
+}
+
+// SyncDir fsyncs a directory, making the entries created or renamed
+// into it durable.
+func SyncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // flushLocked pushes the pending buffer into the file with one write.

@@ -183,6 +183,61 @@ func TestSegmentRotation(t *testing.T) {
 	}
 }
 
+// TestSegmentCreationSyncsDir requires one WAL directory fsync per
+// segment the log creates: the first segment after Open, every
+// rotation, and the first segment after a reopen whose last segment is
+// full.
+func TestSegmentCreationSyncsDir(t *testing.T) {
+	dir := t.TempDir()
+	appendN := func(l *Log, from, n int) {
+		t.Helper()
+		for i := from; i < from+n; i++ {
+			if _, _, err := l.Append([]audit.Entry{mkEntry(i)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	segments := func() int {
+		t.Helper()
+		names, err := listSegments(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return len(names)
+	}
+
+	l, err := Open(dir, Options{SegmentBytes: 512, Fsync: FsyncAlways})
+	if err != nil {
+		t.Fatal(err)
+	}
+	syncs := 0
+	l.dirSyncHook = func() { syncs++ }
+	appendN(l, 0, 1)
+	if syncs != 1 {
+		t.Fatalf("first segment: %d directory syncs, want 1", syncs)
+	}
+	appendN(l, 1, 59)
+	if n := segments(); n < 4 || syncs != n {
+		t.Fatalf("%d directory syncs for %d segments", syncs, n)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	l2, err := Open(dir, Options{SegmentBytes: 512, Fsync: FsyncAlways})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l2.Close()
+	before := segments()
+	syncs = 0
+	l2.dirSyncHook = func() { syncs++ }
+	appendN(l2, 60, 40)
+	if created := segments() - before; created < 1 || syncs != created {
+		t.Fatalf("after reopen: %d directory syncs for %d new segments", syncs, created)
+	}
+}
+
 func TestTruncateBefore(t *testing.T) {
 	dir := t.TempDir()
 	l, err := Open(dir, Options{SegmentBytes: 512, Fsync: FsyncAlways})
