@@ -28,10 +28,14 @@ func TestMain(m *testing.M) {
 }
 
 // TestRemovedFlagsAreUsageErrors pins the flags that used to choose
-// between equivalent engines and formats: each is now unknown, so
-// auditd exits with the usage status before doing anything.
+// between equivalent engines and formats, and the two ring-size knobs
+// that became one constant: each is now unknown, so auditd exits with
+// the usage status before doing anything.
 func TestRemovedFlagsAreUsageErrors(t *testing.T) {
-	for _, flag := range []string{"-compiled", "-minimize", "-binary-artifacts", "-binary-checkpoint"} {
+	for _, flag := range []string{
+		"-compiled", "-minimize", "-binary-artifacts", "-binary-checkpoint",
+		"-trace-buffer 64", "-flight-events 64",
+	} {
 		cmd := exec.Command(os.Args[0], "-test.run=^$")
 		cmd.Env = append(os.Environ(), "AUDITD_TEST_MAIN_ARGS=-builtin hospital "+flag)
 		out, err := cmd.CombinedOutput()

@@ -1429,6 +1429,89 @@ func expP7() error {
 	return expP7wal()
 }
 
+// pipelineDoc is the P7/P8/P10 ingest workload: the P6 hospital-day
+// NDJSON document, fed through a booted server the way the HTTP handler
+// feeds it — scanned, decoded and handed to IngestEntries in bounded
+// chunks.
+type pipelineDoc struct {
+	reg     *core.Registry
+	roles   *policy.RoleHierarchy
+	trail   *audit.Trail
+	doc     []byte
+	quiet   *slog.Logger
+	scanner *audit.EntryScanner
+	rd      *bytes.Reader
+	chunk   []audit.Entry
+}
+
+// maxIngestChunk bounds one IngestEntries call, like the HTTP
+// handler's per-request batching.
+const maxIngestChunk = 256
+
+func newPipelineDoc() (*pipelineDoc, error) {
+	sc, err := hospital.NewScenario()
+	if err != nil {
+		return nil, err
+	}
+	roles, err := hospital.Roles()
+	if err != nil {
+		return nil, err
+	}
+	trail, doc, err := p6Doc()
+	if err != nil {
+		return nil, err
+	}
+	return &pipelineDoc{
+		reg: sc.Registry, roles: roles, trail: trail, doc: doc,
+		quiet:   slog.New(slog.NewTextHandler(io.Discard, nil)),
+		scanner: audit.NewEntryScanner(bytes.NewReader(nil), audit.DecodeOptions{}),
+		rd:      bytes.NewReader(doc),
+		chunk:   make([]audit.Entry, 0, maxIngestChunk),
+	}, nil
+}
+
+// ingest boots a server on cfg with a fresh checker and a discarding
+// logger, feeds it the whole document and returns the time from the
+// first scan to Flush; boot and shutdown stay off the clock. levelGC
+// runs a collection just before the clock starts.
+func (p *pipelineDoc) ingest(cfg server.Config, levelGC bool) (time.Duration, error) {
+	cfg.Logger = p.quiet
+	srv := server.New(p.reg, core.NewChecker(p.reg, p.roles), cfg)
+	if err := srv.Start(); err != nil {
+		return 0, err
+	}
+	defer srv.Shutdown(context.Background())
+	p.rd.Reset(p.doc)
+	p.scanner.Reset(p.rd)
+	fed := 0
+	if levelGC {
+		runtime.GC()
+	}
+	t0 := time.Now()
+	for {
+		p.chunk = p.chunk[:0]
+		for len(p.chunk) < maxIngestChunk && p.scanner.Scan() {
+			p.chunk = append(p.chunk, *p.scanner.Entry())
+		}
+		if len(p.chunk) == 0 {
+			break
+		}
+		if got, ok := srv.IngestEntries(p.chunk); !ok {
+			return 0, fmt.Errorf("ingest rejected after %d entries", fed+got)
+		}
+		fed += len(p.chunk)
+	}
+	srv.Flush()
+	d := time.Since(t0)
+	if err := p.scanner.Err(); err != nil {
+		return 0, err
+	}
+	if fed != p.trail.Len() {
+		return 0, fmt.Errorf("fed %d of %d entries", fed, p.trail.Len())
+	}
+	return d, nil
+}
+
 // expP7wal measures what the durability tier costs the full ingest
 // pipeline — NDJSON scan + decode + WAL append + batched dispatch,
 // the same work POST /v1/events does per line — with no WAL and then
@@ -1443,30 +1526,16 @@ func expP7() error {
 // asserted in adaptive runs, where quick mode's short rounds would be
 // scheduler noise.
 func expP7wal() error {
-	sc, err := hospital.NewScenario()
+	pd, err := newPipelineDoc()
 	if err != nil {
 		return err
 	}
-	roles, err := hospital.Roles()
-	if err != nil {
-		return err
-	}
-	trail, doc, err := p6Doc()
-	if err != nil {
-		return err
-	}
+	trail := pd.trail
 	n := float64(trail.Len())
-	quiet := slog.New(slog.NewTextHandler(io.Discard, nil))
-	// Decoded lines are handed to IngestEntries in bounded chunks, like
-	// the HTTP handler's per-request batching.
-	const maxIngestChunk = 256
-	scanner := audit.NewEntryScanner(bytes.NewReader(nil), audit.DecodeOptions{})
-	rd := bytes.NewReader(doc)
-	chunk := make([]audit.Entry, 0, maxIngestChunk)
 
 	run := func(fsync string) (time.Duration, error) {
 		return minTimed(func() (time.Duration, error) {
-			cfg := server.Config{Shards: 4, QueueDepth: 1 << 18, Logger: quiet}
+			cfg := server.Config{Shards: 4, QueueDepth: 1 << 18}
 			if fsync != "" {
 				dir, err := os.MkdirTemp("", "benchtab-wal-*")
 				if err != nil {
@@ -1476,37 +1545,7 @@ func expP7wal() error {
 				cfg.WALDir = dir
 				cfg.WALFsync = fsync
 			}
-			srv := server.New(sc.Registry, core.NewChecker(sc.Registry, roles), cfg)
-			if err := srv.Start(); err != nil {
-				return 0, err
-			}
-			defer srv.Shutdown(context.Background())
-			rd.Reset(doc)
-			scanner.Reset(rd)
-			fed := 0
-			t0 := time.Now()
-			for {
-				chunk = chunk[:0]
-				for len(chunk) < maxIngestChunk && scanner.Scan() {
-					chunk = append(chunk, *scanner.Entry())
-				}
-				if len(chunk) == 0 {
-					break
-				}
-				if got, ok := srv.IngestEntries(chunk); !ok {
-					return 0, fmt.Errorf("ingest rejected after %d entries", fed+got)
-				}
-				fed += len(chunk)
-			}
-			srv.Flush()
-			d := time.Since(t0)
-			if err := scanner.Err(); err != nil {
-				return 0, err
-			}
-			if fed != trail.Len() {
-				return 0, fmt.Errorf("fed %d of %d entries", fed, trail.Len())
-			}
-			return d, nil
+			return pd.ingest(cfg, false)
 		})
 	}
 
@@ -1602,28 +1641,16 @@ func expP8() error {
 // claim — batch-64 sealing within 2x of the no-ledger pipeline — is
 // asserted in adaptive runs only, like expP7wal's WAL claim.
 func expP8ledger() error {
-	sc, err := hospital.NewScenario()
+	pd, err := newPipelineDoc()
 	if err != nil {
 		return err
 	}
-	roles, err := hospital.Roles()
-	if err != nil {
-		return err
-	}
-	trail, doc, err := p6Doc()
-	if err != nil {
-		return err
-	}
+	trail := pd.trail
 	n := float64(trail.Len())
-	quiet := slog.New(slog.NewTextHandler(io.Discard, nil))
 	// A fixed signing key: key generation is a setup cost, not part of
 	// the sealing path being measured.
 	seed := sha256.Sum256([]byte("benchtab-p8-ledger-key"))
 	key := ed25519.NewKeyFromSeed(seed[:])
-	const maxIngestChunk = 256
-	scanner := audit.NewEntryScanner(bytes.NewReader(nil), audit.DecodeOptions{})
-	rd := bytes.NewReader(doc)
-	chunk := make([]audit.Entry, 0, maxIngestChunk)
 
 	run := func(batch int, wait time.Duration) (time.Duration, error) {
 		return minTimed(func() (time.Duration, error) {
@@ -1633,7 +1660,7 @@ func expP8ledger() error {
 			}
 			defer os.RemoveAll(dir)
 			cfg := server.Config{
-				Shards: 4, QueueDepth: 1 << 18, Logger: quiet,
+				Shards: 4, QueueDepth: 1 << 18,
 				WALDir: dir, WALFsync: wal.FsyncInterval,
 			}
 			if batch > 0 {
@@ -1641,37 +1668,7 @@ func expP8ledger() error {
 				cfg.LedgerBatch = batch
 				cfg.LedgerWait = wait
 			}
-			srv := server.New(sc.Registry, core.NewChecker(sc.Registry, roles), cfg)
-			if err := srv.Start(); err != nil {
-				return 0, err
-			}
-			defer srv.Shutdown(context.Background())
-			rd.Reset(doc)
-			scanner.Reset(rd)
-			fed := 0
-			t0 := time.Now()
-			for {
-				chunk = chunk[:0]
-				for len(chunk) < maxIngestChunk && scanner.Scan() {
-					chunk = append(chunk, *scanner.Entry())
-				}
-				if len(chunk) == 0 {
-					break
-				}
-				if got, ok := srv.IngestEntries(chunk); !ok {
-					return 0, fmt.Errorf("ingest rejected after %d entries", fed+got)
-				}
-				fed += len(chunk)
-			}
-			srv.Flush()
-			d := time.Since(t0)
-			if err := scanner.Err(); err != nil {
-				return 0, err
-			}
-			if fed != trail.Len() {
-				return 0, fmt.Errorf("fed %d of %d entries", fed, trail.Len())
-			}
-			return d, nil
+			return pd.ingest(cfg, false)
 		})
 	}
 
@@ -1728,67 +1725,20 @@ func expP8ledger() error {
 // adaptive runs only; quick mode's 100-iteration rounds are scheduler
 // noise at this resolution.
 func expP10() error {
-	sc, err := hospital.NewScenario()
+	pd, err := newPipelineDoc()
 	if err != nil {
 		return err
 	}
-	roles, err := hospital.Roles()
-	if err != nil {
-		return err
-	}
-	trail, doc, err := p6Doc()
-	if err != nil {
-		return err
-	}
+	trail := pd.trail
 	n := float64(trail.Len())
-	quiet := slog.New(slog.NewTextHandler(io.Discard, nil))
-	const maxIngestChunk = 256
-	scanner := audit.NewEntryScanner(bytes.NewReader(nil), audit.DecodeOptions{})
-	rd := bytes.NewReader(doc)
-	chunk := make([]audit.Entry, 0, maxIngestChunk)
 
 	// runOnce is one boot-ingest-flush measurement; unlike the other
 	// pipeline experiments the rows are NOT measured with minTimed
-	// back to back — see the interleaving note below.
+	// back to back — see the interleaving note below. Each boot levels
+	// the GC state so a row doesn't pay for the heap its predecessors
+	// grew.
 	runOnce := func(sample int) (time.Duration, error) {
-		cfg := server.Config{
-			Shards: 4, QueueDepth: 1 << 18,
-			StageSample: sample, Logger: quiet,
-		}
-		srv := server.New(sc.Registry, core.NewChecker(sc.Registry, roles), cfg)
-		if err := srv.Start(); err != nil {
-			return 0, err
-		}
-		defer srv.Shutdown(context.Background())
-		rd.Reset(doc)
-		scanner.Reset(rd)
-		fed := 0
-		// Level the GC state each boot so a row doesn't pay for the
-		// heap its predecessors grew.
-		runtime.GC()
-		t0 := time.Now()
-		for {
-			chunk = chunk[:0]
-			for len(chunk) < maxIngestChunk && scanner.Scan() {
-				chunk = append(chunk, *scanner.Entry())
-			}
-			if len(chunk) == 0 {
-				break
-			}
-			if got, ok := srv.IngestEntries(chunk); !ok {
-				return 0, fmt.Errorf("ingest rejected after %d entries", fed+got)
-			}
-			fed += len(chunk)
-		}
-		srv.Flush()
-		d := time.Since(t0)
-		if err := scanner.Err(); err != nil {
-			return 0, err
-		}
-		if fed != trail.Len() {
-			return 0, fmt.Errorf("fed %d of %d entries", fed, trail.Len())
-		}
-		return d, nil
+		return pd.ingest(server.Config{Shards: 4, QueueDepth: 1 << 18, StageSample: sample}, true)
 	}
 
 	points := []struct {

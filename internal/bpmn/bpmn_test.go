@@ -323,6 +323,37 @@ func TestJSONRoundTrip(t *testing.T) {
 	}
 }
 
+// TestEncodeJSONDeterministic: a process with two OR pairs encodes to
+// the same bytes every time (the pairs live in a map).
+func TestEncodeJSONDeterministic(t *testing.T) {
+	p, err := NewBuilder("or2").Pool("P").
+		Start("S", "P").OR("G1", "P").Task("T1", "P", "").Task("T2", "P", "").OR("J1", "P").
+		OR("G2", "P").Task("T3", "P", "").Task("T4", "P", "").OR("J2", "P").End("E", "P").
+		Seq("S", "G1").Seq("G1", "T1", "J1").Seq("G1", "T2", "J1").Seq("J1", "G2").
+		Seq("G2", "T3", "J2").Seq("G2", "T4", "J2").Seq("J2", "E").
+		PairOR("G1", "J1").PairOR("G2", "J2").
+		Build()
+	if err != nil {
+		t.Fatalf("Build: %v", err)
+	}
+	var first bytes.Buffer
+	if err := p.EncodeJSON(&first); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(first.String(), `"split": "G1"`) || !strings.Contains(first.String(), `"split": "G2"`) {
+		t.Fatalf("OR pairs missing from encoding:\n%s", first.String())
+	}
+	for i := 1; i < 20; i++ {
+		var buf bytes.Buffer
+		if err := p.EncodeJSON(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(buf.Bytes(), first.Bytes()) {
+			t.Fatalf("encoding %d differs:\n%s\nvs\n%s", i, buf.String(), first.String())
+		}
+	}
+}
+
 func TestDecodeRejectsUnknownFields(t *testing.T) {
 	_, err := DecodeJSON(strings.NewReader(`{"name":"x","bogus":1}`))
 	if err == nil {

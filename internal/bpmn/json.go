@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"sort"
 )
 
 // Spec is the JSON interchange form of a process, used by the command
@@ -58,7 +59,8 @@ var kindByName = func() map[string]Kind {
 	return m
 }()
 
-// ToSpec converts a validated process to its interchange form.
+// ToSpec converts a validated process to its interchange form. OR
+// pairs are sorted by split gateway, so the encoding is deterministic.
 func (p *Process) ToSpec() Spec {
 	spec := Spec{Name: p.Name, Pools: append([]string(nil), p.pools...)}
 	for _, e := range p.elements {
@@ -72,6 +74,7 @@ func (p *Process) ToSpec() Spec {
 	for split, join := range p.orPairs {
 		spec.ORPairs = append(spec.ORPairs, ORPair{Split: split, Join: join})
 	}
+	sort.Slice(spec.ORPairs, func(i, j int) bool { return spec.ORPairs[i].Split < spec.ORPairs[j].Split })
 	return spec
 }
 

@@ -15,23 +15,26 @@ import (
 // event a crashed shard leaves behind for the post-mortem. Seq is a
 // recorder-global monotonic ordering (assigned by Record); Shard is
 // the originating shard, or -1 for server-level events (WAL failure,
-// readiness transitions).
+// readiness transitions). Purpose and Outcome are set on verdict
+// events only.
 type FlightEvent struct {
-	Seq    uint64    `json:"seq"`
-	Time   time.Time `json:"time"`
-	Shard  int       `json:"shard"`
-	Kind   string    `json:"kind"`
-	Case   string    `json:"case,omitempty"`
-	Detail string    `json:"detail,omitempty"`
-	N      int       `json:"n,omitempty"`
-	LSN    uint64    `json:"lsn,omitempty"`
+	Seq     uint64    `json:"seq"`
+	Time    time.Time `json:"time"`
+	Shard   int       `json:"shard"`
+	Kind    string    `json:"kind"`
+	Case    string    `json:"case,omitempty"`
+	Purpose string    `json:"purpose,omitempty"`
+	Outcome string    `json:"outcome,omitempty"`
+	Detail  string    `json:"detail,omitempty"`
+	N       int       `json:"n,omitempty"`
+	LSN     uint64    `json:"lsn,omitempty"`
 }
 
 // Flight-event kinds. Kept as plain strings in the JSON dump so the
 // format is greppable without this package.
 const (
 	FlightBatchFed   = "batch_fed"        // a batch finished replaying (N = entries, LSN = first)
-	FlightVerdict    = "verdict"          // a case's outcome transitioned
+	FlightVerdict    = "verdict"          // a case's outcome transitioned (Outcome; Detail = reason, N = entries)
 	FlightHighWater  = "queue_high_water" // queue occupancy reached a new high-water mark (N = entries)
 	FlightPanic      = "panic"            // shard worker panicked; Case/Detail name the poisoned entry
 	FlightRestart    = "restart"          // supervisor restarted the shard worker (N = restart count)
@@ -42,73 +45,109 @@ const (
 	FlightCheckpoint = "checkpoint"       // notable checkpoint event (Detail)
 )
 
-// FlightRecorder is an always-on bounded ring of recent pipeline
-// events, one ring per shard plus one for server-level events, dumped
-// to a timestamped JSON file when something goes wrong (shard panic,
-// degraded readiness, SIGQUIT). Recording is a mutex-protected ring
-// write per *batch* — not per entry — so it stays far off the hot
-// path's critical nanoseconds.
+// FlightRecorder is auditd's event log: one always-on bounded ring of
+// recent pipeline events per shard plus one for server-level events.
+// The rings are dumped to a timestamped JSON file when something goes
+// wrong (shard panic, degraded readiness, SIGQUIT), and live consumers
+// (GET /v1/watch) read the same events through kind-filtered
+// subscriptions. Recording is a mutex-protected ring write per *batch*
+// — not per entry — so it stays far off the hot path's critical
+// nanoseconds.
 type FlightRecorder struct {
-	rings []flightRing
+	rings []ring[FlightEvent]
 	dir   string
 	seq   atomic.Uint64
 	dumps atomic.Int64
 
 	mu       sync.Mutex // serializes dumps
 	lastDump string
-}
 
-type flightRing struct {
-	mu   sync.Mutex
-	buf  []FlightEvent
-	next int
-	n    int
+	// subs maps each live subscription's channel to its event kind,
+	// guarded by subMu; nsubs lets Record skip the lock when there are
+	// none. dropped counts events a full subscriber buffer lost.
+	subMu   sync.Mutex
+	subs    map[chan FlightEvent]string
+	nsubs   atomic.Int32
+	dropped atomic.Uint64
 }
-
-// DefaultFlightEvents is the per-ring event capacity when the
-// configuration leaves it at zero.
-const DefaultFlightEvents = 256
 
 // NewFlightRecorder builds a recorder with one ring per shard plus a
-// server ring, each holding up to perRing events. Dumps are written
-// under dir (os.TempDir() when empty).
+// server ring, each holding up to perRing events (DefaultRingCapacity
+// when perRing ≤ 0). Dumps are written under dir (os.TempDir() when
+// empty).
 func NewFlightRecorder(shards, perRing int, dir string) *FlightRecorder {
-	if perRing <= 0 {
-		perRing = DefaultFlightEvents
-	}
 	if dir == "" {
 		dir = os.TempDir()
 	}
-	f := &FlightRecorder{rings: make([]flightRing, shards+1), dir: dir}
+	f := &FlightRecorder{
+		rings: make([]ring[FlightEvent], shards+1), dir: dir,
+		subs: map[chan FlightEvent]string{},
+	}
 	for i := range f.rings {
-		f.rings[i].buf = make([]FlightEvent, perRing)
+		f.rings[i] = newRing[FlightEvent](perRing)
 	}
 	return f
 }
 
 // Record stores the event in the originating shard's ring (shard -1 →
-// the server ring), stamping Seq and, if unset, Time. Nil-safe.
+// the server ring), stamping Seq and, if unset, Time, then offers it to
+// every subscription for its kind without blocking. Nil-safe.
 func (f *FlightRecorder) Record(shard int, ev FlightEvent) {
 	if f == nil {
 		return
 	}
-	ring := &f.rings[len(f.rings)-1]
+	r := &f.rings[len(f.rings)-1]
 	if shard >= 0 && shard < len(f.rings)-1 {
-		ring = &f.rings[shard]
+		r = &f.rings[shard]
 	}
 	ev.Shard = shard
 	ev.Seq = f.seq.Add(1)
 	if ev.Time.IsZero() {
 		ev.Time = time.Now()
 	}
-	ring.mu.Lock()
-	ring.buf[ring.next] = ev
-	ring.next = (ring.next + 1) % len(ring.buf)
-	if ring.n < len(ring.buf) {
-		ring.n++
+	r.push(ev)
+	if f.nsubs.Load() == 0 {
+		return
 	}
-	ring.mu.Unlock()
+	f.subMu.Lock()
+	for ch, kind := range f.subs {
+		if kind != ev.Kind {
+			continue
+		}
+		select {
+		case ch <- ev:
+		default:
+			f.dropped.Add(1)
+		}
+	}
+	f.subMu.Unlock()
 }
+
+// Subscribe registers a live feed of the events of one kind, buffered
+// up to buf events: when the buffer is full, Record drops the event
+// (counted in SubscriptionDrops) rather than wait. cancel removes the
+// subscription; the channel is never closed, so Record can never send
+// on a closed channel.
+func (f *FlightRecorder) Subscribe(kind string, buf int) (events <-chan FlightEvent, cancel func()) {
+	ch := make(chan FlightEvent, buf)
+	f.subMu.Lock()
+	f.subs[ch] = kind
+	f.nsubs.Store(int32(len(f.subs)))
+	f.subMu.Unlock()
+	return ch, func() {
+		f.subMu.Lock()
+		delete(f.subs, ch)
+		f.nsubs.Store(int32(len(f.subs)))
+		f.subMu.Unlock()
+	}
+}
+
+// Subscribers reports the live subscriptions.
+func (f *FlightRecorder) Subscribers() int { return int(f.nsubs.Load()) }
+
+// SubscriptionDrops reports events lost to full subscriber buffers
+// since boot.
+func (f *FlightRecorder) SubscriptionDrops() uint64 { return f.dropped.Load() }
 
 // Snapshot merges every ring's held events, ordered by Seq (oldest
 // first). Nil-safe (returns nil).
@@ -118,16 +157,7 @@ func (f *FlightRecorder) Snapshot() []FlightEvent {
 	}
 	var out []FlightEvent
 	for i := range f.rings {
-		r := &f.rings[i]
-		r.mu.Lock()
-		start := r.next - r.n
-		if start < 0 {
-			start += len(r.buf)
-		}
-		for j := 0; j < r.n; j++ {
-			out = append(out, r.buf[(start+j)%len(r.buf)])
-		}
-		r.mu.Unlock()
+		out = append(out, f.rings[i].snapshot()...)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Seq < out[j].Seq })
 	return out
@@ -140,10 +170,8 @@ func (f *FlightRecorder) Stats() (held int, total uint64, dumps int64) {
 		return 0, 0, 0
 	}
 	for i := range f.rings {
-		r := &f.rings[i]
-		r.mu.Lock()
-		held += r.n
-		r.mu.Unlock()
+		n, _ := f.rings[i].stats()
+		held += n
 	}
 	return held, f.seq.Load(), f.dumps.Load()
 }

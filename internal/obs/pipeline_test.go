@@ -210,6 +210,82 @@ func TestFlightRecorderEviction(t *testing.T) {
 	}
 }
 
+// TestFlightRecorderSubscribe: a subscription sees only its kind, in
+// Seq order; a full buffer drops (counted) instead of blocking Record;
+// cancel stops delivery.
+func TestFlightRecorderSubscribe(t *testing.T) {
+	f := obs.NewFlightRecorder(1, 4, t.TempDir())
+	f.Record(0, obs.FlightEvent{Kind: obs.FlightVerdict, Case: "BEFORE"}) // no subscriber yet
+	events, cancel := f.Subscribe(obs.FlightVerdict, 2)
+	if n := f.Subscribers(); n != 1 {
+		t.Fatalf("Subscribers() = %d, want 1", n)
+	}
+	f.Record(0, obs.FlightEvent{Kind: obs.FlightBatchFed, N: 1})
+	f.Record(0, obs.FlightEvent{Kind: obs.FlightVerdict, Case: "A", Purpose: "P", Outcome: "violation"})
+	f.Record(-1, obs.FlightEvent{Kind: obs.FlightReadiness, Detail: "ready"})
+	f.Record(0, obs.FlightEvent{Kind: obs.FlightVerdict, Case: "B"})
+	f.Record(0, obs.FlightEvent{Kind: obs.FlightVerdict, Case: "C"}) // buffer full
+	if got := f.SubscriptionDrops(); got != 1 {
+		t.Errorf("SubscriptionDrops() = %d, want 1", got)
+	}
+	a, b := <-events, <-events
+	if a.Case != "A" || a.Purpose != "P" || a.Outcome != "violation" || a.Shard != 0 || a.Seq == 0 || a.Time.IsZero() {
+		t.Errorf("first delivered event = %+v", a)
+	}
+	if b.Case != "B" || b.Seq <= a.Seq {
+		t.Errorf("second delivered event = %+v (after seq %d)", b, a.Seq)
+	}
+
+	cancel()
+	if n := f.Subscribers(); n != 0 {
+		t.Fatalf("Subscribers() = %d after cancel", n)
+	}
+	f.Record(0, obs.FlightEvent{Kind: obs.FlightVerdict, Case: "AFTER"})
+	select {
+	case ev := <-events:
+		t.Errorf("event delivered after cancel: %+v", ev)
+	default:
+	}
+	if got := f.SubscriptionDrops(); got != 1 {
+		t.Errorf("SubscriptionDrops() = %d after cancel, want 1", got)
+	}
+	// The rings record every event, subscribed or not: shard 0's ring
+	// keeps its newest 4 of 6, the server ring its one.
+	if held, total, _ := f.Stats(); held != 5 || total != 7 {
+		t.Errorf("Stats = %d held, %d total; want 5, 7", held, total)
+	}
+}
+
+// TestFlightRecorderSubscribeRace: recorders on several goroutines,
+// subscribers coming and going (run under -race).
+func TestFlightRecorderSubscribeRace(t *testing.T) {
+	f := obs.NewFlightRecorder(4, 8, t.TempDir())
+	var wg sync.WaitGroup
+	for shard := 0; shard < 4; shard++ {
+		wg.Add(1)
+		go func(shard int) {
+			defer wg.Done()
+			for i := 0; i < 500; i++ {
+				f.Record(shard, obs.FlightEvent{Kind: obs.FlightVerdict, N: i})
+			}
+		}(shard)
+	}
+	for i := 0; i < 50; i++ {
+		events, cancel := f.Subscribe(obs.FlightVerdict, 4)
+		for len(events) > 0 {
+			<-events
+		}
+		cancel()
+	}
+	wg.Wait()
+	if n := f.Subscribers(); n != 0 {
+		t.Errorf("Subscribers() = %d, want 0", n)
+	}
+	if _, total, _ := f.Stats(); total != 2000 {
+		t.Errorf("total = %d, want 2000", total)
+	}
+}
+
 func TestFlightRecorderNilSafe(t *testing.T) {
 	var f *obs.FlightRecorder
 	f.Record(0, obs.FlightEvent{Kind: obs.FlightPanic})

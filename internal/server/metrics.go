@@ -291,6 +291,7 @@ func (s *Server) writeMetrics(w io.Writer) {
 	gauge(w, "auditd_flight_events_held", "Flight-recorder events currently held across all rings.", float64(fHeld))
 	counter(w, "auditd_flight_events_total", "Flight-recorder events recorded since boot.", int64(fTotal))
 	counter(w, "auditd_flight_dumps_total", "Flight-recorder dump files written.", fDumps)
+	counter(w, "auditd_watch_events_dropped_total", "Verdict events lost to full /v1/watch subscriber buffers.", int64(s.flight.SubscriptionDrops()))
 
 	// Go runtime gauges: enough to spot leaks and GC pressure without
 	// a client library.

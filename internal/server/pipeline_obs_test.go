@@ -12,6 +12,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -251,7 +252,7 @@ func TestWatchSSE(t *testing.T) {
 	if line, err := r.ReadString('\n'); err != nil || !strings.HasPrefix(line, ":") {
 		t.Fatalf("SSE preamble = %q, %v", line, err)
 	}
-	if n := srv.watch.count(); n != 1 {
+	if n := srv.flight.Subscribers(); n != 1 {
 		t.Fatalf("watchers = %d after subscribe", n)
 	}
 
@@ -293,13 +294,113 @@ func TestWatchSSE(t *testing.T) {
 		t.Errorf("HT-10 transition = %+v", got)
 	}
 
-	// Disconnect: the hub must drop the subscription promptly.
+	// Disconnect: the recorder must drop the subscription promptly.
 	cancel()
-	for end := time.Now().Add(5 * time.Second); srv.watch.count() != 0; {
+	for end := time.Now().Add(5 * time.Second); srv.flight.Subscribers() != 0; {
 		if time.Now().After(end) {
-			t.Fatalf("watchers = %d after disconnect", srv.watch.count())
+			t.Fatalf("watchers = %d after disconnect", srv.flight.Subscribers())
 		}
 		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// sendBufListener pins each accepted connection's socket send buffer
+// small, so a stalled SSE client backs the stream up after kilobytes
+// instead of after megabytes of autotuned kernel buffering.
+type sendBufListener struct{ net.Listener }
+
+func (l sendBufListener) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if tc, ok := c.(*net.TCPConn); ok {
+		// Best effort: a larger buffer only means feeding more cases.
+		_ = tc.SetWriteBuffer(4096)
+	}
+	return c, err
+}
+
+// TestWatchSlowSubscriberDrops: a /v1/watch client that never reads
+// must not stall replay. Once the socket and the subscription's
+// 64-event buffer are full, verdict events are dropped and counted in
+// auditd_watch_events_dropped_total, and ?wait=1 ingests keep getting
+// their 202 on time.
+func TestWatchSlowSubscriberDrops(t *testing.T) {
+	sc := hospitalScenario(t)
+	srv := New(sc.Registry, hospitalChecker(sc), Config{Shards: 2})
+	if err := srv.Start(); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewUnstartedServer(srv.Handler())
+	ts.Listener = sendBufListener{ts.Listener}
+	ts.Start()
+	t.Cleanup(ts.Close)
+
+	conn, err := net.Dial("tcp", ts.Listener.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close() // before ts.Close, which waits for the stalled handler
+	if err := conn.(*net.TCPConn).SetReadBuffer(4096); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fmt.Fprintf(conn, "GET /v1/watch HTTP/1.1\r\nHost: auditd\r\n\r\n"); err != nil {
+		t.Fatal(err)
+	}
+	if err := conn.SetReadDeadline(time.Now().Add(10 * time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	br := bufio.NewReader(conn)
+	for {
+		line, err := br.ReadString('\n')
+		if err != nil {
+			t.Fatalf("waiting for the SSE preamble: %v", err)
+		}
+		if strings.HasPrefix(line, ": watching") {
+			break
+		}
+	}
+	// Subscribed; from here on the client never reads again.
+	if n := srv.flight.Subscribers(); n != 1 {
+		t.Fatalf("watchers = %d after subscribe", n)
+	}
+
+	// Every case opens with HT-10's first entry, which violates at
+	// once: one verdict event per case. Each ?wait=1 POST must return
+	// 202 within the deadline.
+	first := sc.Trail.ByCase("HT-10").At(0)
+	postRound := func(round int, entries []audit.Entry) {
+		t.Helper()
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		req, err := http.NewRequestWithContext(ctx, http.MethodPost, ts.URL+"/v1/events?wait=1",
+			bytes.NewReader(ndjson(t, audit.NewTrail(entries))))
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set("Content-Type", "application/x-ndjson")
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatalf("round %d: ingest blocked behind the stalled watcher: %v", round, err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("round %d: ingest: %s", round, resp.Status)
+		}
+	}
+	const perRound, maxRounds = 200, 100
+	for round := 0; srv.flight.SubscriptionDrops() == 0; round++ {
+		if round == maxRounds {
+			t.Fatalf("%d violating cases and no watch event dropped", perRound*maxRounds)
+		}
+		entries := make([]audit.Entry, perRound)
+		for i := range entries {
+			entries[i] = first
+			entries[i].Case = fmt.Sprintf("HT-slow%d.%d", round, i)
+		}
+		postRound(round, entries)
+	}
+	_, metrics := getBody(t, ts.URL+"/metrics")
+	if v := metricValue(t, metrics, "auditd_watch_events_dropped_total"); v <= 0 {
+		t.Errorf("auditd_watch_events_dropped_total = %v, want > 0", v)
 	}
 }
 

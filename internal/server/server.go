@@ -49,9 +49,6 @@ type Config struct {
 	MaxBodyBytes int64
 	// QuarantineKeep bounds the held quarantine records (default 1024).
 	QuarantineKeep int
-	// TraceBuffer bounds the in-memory span ring served at GET
-	// /v1/traces (default obs.DefaultRingCapacity).
-	TraceBuffer int
 	// Logger receives structured request/verdict logs (default
 	// slog.Default()).
 	Logger *slog.Logger
@@ -103,9 +100,6 @@ type Config struct {
 	// FlightDir is where flight-recorder dumps are written (default
 	// os.TempDir()).
 	FlightDir string
-	// FlightEvents bounds each shard's flight-recorder ring (default
-	// obs.DefaultFlightEvents).
-	FlightEvents int
 }
 
 // WAL failure policies (Config.WALFailure).
@@ -130,9 +124,6 @@ func (c Config) withDefaults() Config {
 	if c.QuarantineKeep <= 0 {
 		c.QuarantineKeep = 1024
 	}
-	if c.TraceBuffer <= 0 {
-		c.TraceBuffer = obs.DefaultRingCapacity
-	}
 	if c.Logger == nil {
 		c.Logger = slog.Default()
 	}
@@ -144,9 +135,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.StageSample == 0 {
 		c.StageSample = obs.DefaultStageSample
-	}
-	if c.FlightEvents <= 0 {
-		c.FlightEvents = obs.DefaultFlightEvents
 	}
 	return c
 }
@@ -196,14 +184,13 @@ type Server struct {
 	ledgerCkptLSN atomic.Uint64
 
 	// Operational telemetry (DESIGN.md §17). stages decides which
-	// batches carry a timing record; flight is the always-on event
-	// recorder dumped when something goes wrong; watch fans verdict
-	// transitions out to GET /v1/watch subscribers. walErrDumped makes
+	// batches carry a timing record; flight is the always-on event log,
+	// dumped when something goes wrong and subscribed to by GET
+	// /v1/watch for verdict transitions. walErrDumped makes
 	// the WAL-failure flight dump a one-shot (the error is sticky, so
 	// every later batch would re-trigger it).
 	stages       *obs.StageSampler
 	flight       *obs.FlightRecorder
-	watch        *watchHub
 	walErrDumped atomic.Bool
 	startTime    time.Time
 
@@ -227,12 +214,11 @@ func New(reg *core.Registry, checker *core.Checker, cfg Config) *Server {
 		quar:    newQuarantine(cfg.QuarantineKeep),
 		mux:     http.NewServeMux(),
 		log:     cfg.Logger,
-		ring:    obs.NewRing(cfg.TraceBuffer),
+		ring:    obs.NewRing(obs.DefaultRingCapacity),
 	}
 	s.tracer = &obs.Tracer{Rec: s.ring}
 	s.stages = obs.NewStageSampler(cfg.StageSample)
-	s.flight = obs.NewFlightRecorder(cfg.Shards, cfg.FlightEvents, cfg.FlightDir)
-	s.watch = newWatchHub()
+	s.flight = obs.NewFlightRecorder(cfg.Shards, obs.DefaultRingCapacity, cfg.FlightDir)
 	s.startTime = time.Now()
 	s.limVerdict = obs.NewLogLimiter(warnBurst, warnPerSec)
 	s.limQuar = obs.NewLogLimiter(warnBurst, warnPerSec)
@@ -243,7 +229,6 @@ func New(reg *core.Registry, checker *core.Checker, cfg Config) *Server {
 		// constructor's signature stays stable for tests; all of it is
 		// set before Start launches the workers.
 		sh.flight = s.flight
-		sh.watch = s.watch
 		sh.warnLim = s.limVerdict
 		sh.onDump = func(reason string) { s.DumpFlightRecorder(reason) }
 		s.shards = append(s.shards, sh)

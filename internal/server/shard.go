@@ -90,13 +90,13 @@ type shard struct {
 	tracer *obs.Tracer
 
 	// Operational telemetry, wired by the server after construction
-	// (before Start). flight records coarse per-batch pipeline events;
-	// onDump triggers a flight-recorder dump (panic, shard failure);
-	// watch receives verdict transitions for GET /v1/watch; warnLim
-	// rate-limits the per-entry deviation warnings.
+	// (before Start). flight is the event log: coarse per-batch
+	// pipeline events and verdict transitions (GET /v1/watch subscribes
+	// to the latter); onDump triggers a flight-recorder dump (panic,
+	// shard failure); warnLim rate-limits the per-entry deviation
+	// warnings.
 	flight  *obs.FlightRecorder
 	onDump  func(reason string)
-	watch   *watchHub
 	warnLim *obs.LogLimiter
 	// highWater is the worst queue occupancy seen (entries), reported
 	// by /v1/status; hwRecorded is the occupancy at the last flight
@@ -583,17 +583,13 @@ func (sh *shard) warnDeviation(msg, caseID, k, v string, sc obs.SpanContext) {
 	sh.log.Warn(msg, args...)
 }
 
-// noteTransition records a verdict transition in the flight ring and
-// fans it out to GET /v1/watch subscribers. Called under sh.mu, but
-// both sinks are non-blocking (ring write / channel try-send).
+// noteTransition records a verdict transition in the flight recorder,
+// which also offers it to GET /v1/watch subscribers. Called under
+// sh.mu, but recording never blocks (ring write / channel try-send).
 func (sh *shard) noteTransition(v *core.Verdict, outcome, detail string) {
 	sh.flight.Record(sh.id, obs.FlightEvent{
-		Kind: obs.FlightVerdict, Case: v.Case,
-		Detail: outcome + ": " + detail, N: v.CaseEntries,
-	})
-	sh.watch.publish(watchEvent{
-		Case: v.Case, Purpose: v.Purpose, Outcome: outcome,
-		Entries: v.CaseEntries, Shard: sh.id, Detail: detail, Time: time.Now(),
+		Kind: obs.FlightVerdict, Case: v.Case, Purpose: v.Purpose,
+		Outcome: outcome, Detail: detail, N: v.CaseEntries,
 	})
 }
 

@@ -83,9 +83,11 @@ type statusReply struct {
 
 	// StageSampleEvery is the configured 1-in-N stage sampling (0 =
 	// off; traced requests are always timed).
-	StageSampleEvery int          `json:"stage_sample_every"`
-	Watchers         int          `json:"watchers"`
-	Flight           flightStatus `json:"flight"`
+	StageSampleEvery int `json:"stage_sample_every"`
+	// Watchers counts the flight recorder's subscribers: the connected
+	// GET /v1/watch clients.
+	Watchers int          `json:"watchers"`
+	Flight   flightStatus `json:"flight"`
 
 	// Snapshots/SnapshotAgeSeconds describe checkpointing activity
 	// (absent age means no snapshot yet).
@@ -113,7 +115,7 @@ func (s *Server) statusReply() statusReply {
 			Indeterminate: m.verdictsIndeterminate.Load(),
 		},
 		StageSampleEvery: s.stages.Every(),
-		Watchers:         s.watch.count(),
+		Watchers:         s.flight.Subscribers(),
 		Snapshots:        m.snapshots.Load(),
 	}
 	for _, sh := range s.shards {

@@ -4,20 +4,23 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"sync"
-	"sync/atomic"
 	"time"
+
+	"repro/internal/obs"
 )
 
 // GET /v1/watch: a Server-Sent-Events stream of verdict transitions —
 // the moment a case leaves "compliant" an event goes out, so an
 // operator (or purposectl top) sees deviations as they happen instead
-// of polling /v1/cases. Publishing is strictly non-blocking: the shard
-// worker must never wait on a slow SSE client, so a subscriber whose
-// buffer is full loses events (counted) rather than stalling replay.
+// of polling /v1/cases. The stream is a subscription to the flight
+// recorder's verdict events: the same events a flight dump shows.
+// Publishing is strictly non-blocking: the shard worker must never
+// wait on a slow SSE client, so a subscriber whose buffer is full
+// loses events (counted as auditd_watch_events_dropped_total) rather
+// than stalling replay.
 
 // watchEvent is one SSE payload: a case's first transition out of
-// compliant.
+// compliant, rendered from its flight-recorder verdict event.
 type watchEvent struct {
 	Case    string    `json:"case"`
 	Purpose string    `json:"purpose,omitempty"`
@@ -28,68 +31,14 @@ type watchEvent struct {
 	Time    time.Time `json:"time"`
 }
 
-// watchHub fans verdict transitions out to subscribers.
-type watchHub struct {
-	mu   sync.Mutex
-	subs map[int]chan watchEvent
-	next int
-
-	published atomic.Int64
-	dropped   atomic.Int64 // events lost to full subscriber buffers
-}
-
-func newWatchHub() *watchHub {
-	return &watchHub{subs: map[int]chan watchEvent{}}
-}
-
-// subscribe registers a buffered subscriber and returns its id and
-// channel.
-func (h *watchHub) subscribe(buf int) (int, <-chan watchEvent) {
-	ch := make(chan watchEvent, buf)
-	h.mu.Lock()
-	id := h.next
-	h.next++
-	h.subs[id] = ch
-	h.mu.Unlock()
-	return id, ch
-}
-
-// unsubscribe removes a subscriber; its channel is left to the GC (the
-// publisher never closes channels, avoiding send-on-closed races).
-func (h *watchHub) unsubscribe(id int) {
-	h.mu.Lock()
-	delete(h.subs, id)
-	h.mu.Unlock()
-}
-
-// count reports live subscribers.
-func (h *watchHub) count() int {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return len(h.subs)
-}
-
-// publish offers the event to every subscriber without blocking.
-// Nil-safe so shards constructed outside a server can skip wiring.
-func (h *watchHub) publish(ev watchEvent) {
-	if h == nil {
-		return
-	}
-	h.published.Add(1)
-	h.mu.Lock()
-	for _, ch := range h.subs {
-		select {
-		case ch <- ev:
-		default:
-			h.dropped.Add(1)
-		}
-	}
-	h.mu.Unlock()
-}
-
 // watchHeartbeat keeps idle SSE connections alive through proxies and
 // lets the handler notice a dead client between events.
 const watchHeartbeat = 15 * time.Second
+
+// watchBuffer is each SSE subscriber's event buffer: room for a burst
+// of transitions while the handler writes the previous ones to the
+// client. A subscriber that falls further behind loses events.
+const watchBuffer = 64
 
 // handleWatch streams verdict transitions as SSE. ?outcome= filters to
 // one outcome (violation|indeterminate). The subscription is dropped
@@ -107,8 +56,8 @@ func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("X-Accel-Buffering", "no")
 	w.WriteHeader(http.StatusOK)
 
-	id, ch := s.watch.subscribe(64)
-	defer s.watch.unsubscribe(id)
+	events, cancel := s.flight.Subscribe(obs.FlightVerdict, watchBuffer)
+	defer cancel()
 
 	fmt.Fprintf(w, ": watching verdict transitions\n\n")
 	fl.Flush()
@@ -119,11 +68,14 @@ func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 		select {
 		case <-r.Context().Done():
 			return
-		case ev := <-ch:
+		case ev := <-events:
 			if outcome != "" && ev.Outcome != outcome {
 				continue
 			}
-			data, err := json.Marshal(ev)
+			data, err := json.Marshal(watchEvent{
+				Case: ev.Case, Purpose: ev.Purpose, Outcome: ev.Outcome, Detail: ev.Detail,
+				Entries: ev.N, Shard: ev.Shard, Time: ev.Time,
+			})
 			if err != nil {
 				continue
 			}
